@@ -380,6 +380,14 @@ func run(opts daemonOpts, cfg serve.Config) error {
 			"repl_lag", wcfg.ReplLagSegs, "alert_rate", wcfg.AlertRatePerMin)
 	}
 
+	// Install the shutdown handler before the listener binds and readiness
+	// is reported: a SIGTERM landing right after "listening" must still
+	// reach the final checkpoint and snapshot below, not the default
+	// action that kills the process.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sig)
+
 	ln, err := net.Listen("tcp", opts.addr)
 	if err != nil {
 		return err
@@ -416,9 +424,6 @@ func run(opts daemonOpts, cfg serve.Config) error {
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sig)
 	select {
 	case err := <-errc:
 		return err

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -361,6 +362,60 @@ func TestWatchdogPruneKeepsNewestBundles(t *testing.T) {
 	}
 	if wd.Captures() != 3 {
 		t.Fatalf("capture counter = %d, want 3", wd.Captures())
+	}
+}
+
+// TestWatchdogSweepsUncommittedBundles pins the bundle commit point: a
+// capture that crashed before its rename leaves a ".tmp-" directory, which
+// the next NewWatchdog removes while committed bundles stay listed.
+func TestWatchdogSweepsUncommittedBundles(t *testing.T) {
+	dir := t.TempDir()
+	committed := "bundle-20260101T000000.000-000001-r"
+	torn := tmpBundlePrefix + "bundle-20260101T000001.000-000002-r"
+	for _, d := range []string{committed, torn} {
+		if err := os.MkdirAll(filepath.Join(dir, d), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(dir, committed, "meta.json"), []byte("{}"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, torn, "spans.json"), []byte("{}"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	wd, err := NewWatchdog(WatchdogConfig{
+		Dir:        dir,
+		CPUProfile: -1,
+		Rules:      []WatchdogRule{{Name: "r", Threshold: 0, Value: func() float64 { return 1 }}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, torn)); !os.IsNotExist(err) {
+		t.Fatalf("uncommitted bundle survived NewWatchdog: %v", err)
+	}
+	if b := wd.Bundles(); len(b) != 1 || b[0].Name != committed {
+		t.Fatalf("bundles after sweep = %+v, want only %s", b, committed)
+	}
+
+	// A fresh capture leaves no temp directory behind and lists whole.
+	name, err := wd.Check()
+	if err != nil || name == "" {
+		t.Fatalf("Check = %q, %v", name, err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if strings.HasPrefix(e.Name(), tmpBundlePrefix) {
+			t.Fatalf("capture left %s behind", e.Name())
+		}
+	}
+	for _, b := range wd.Bundles() {
+		if !slices.Contains(b.Files, "meta.json") {
+			t.Fatalf("listed bundle %s has no meta.json: %v", b.Name, b.Files)
+		}
 	}
 }
 

@@ -23,9 +23,11 @@ import (
 // exceeds its threshold it captures a bounded diagnostics bundle into a
 // ring of on-disk directories: pprof cpu+heap profiles, plus any named
 // snapshots the caller wires in (recent spans, /statusz, the last N slog
-// lines). Every file is written through wal.WriteFileAtomic so a crash
-// mid-capture never leaves a torn bundle, and the ring caps disk use —
-// the flight recorder can run unattended for months.
+// lines). A bundle is built in a ".tmp-" directory and renamed into its
+// bundle-* name only after meta.json is written, so listings never see a
+// half-written bundle and a crash mid-capture leaves only temp litter,
+// which the next NewWatchdog sweeps. The ring caps disk use — the flight
+// recorder can run unattended for months.
 
 // WatchdogRule is one monitored objective: breach when Value() exceeds
 // Threshold.
@@ -108,6 +110,18 @@ func NewWatchdog(cfg WatchdogConfig) (*Watchdog, error) {
 	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("obs: watchdog dir: %w", err)
+	}
+	// Sweep bundles a crashed capture left uncommitted.
+	entries, err := os.ReadDir(cfg.Dir)
+	if err != nil {
+		return nil, fmt.Errorf("obs: watchdog dir: %w", err)
+	}
+	for _, e := range entries {
+		if e.IsDir() && strings.HasPrefix(e.Name(), tmpBundlePrefix) {
+			if err := os.RemoveAll(filepath.Join(cfg.Dir, e.Name())); err != nil {
+				return nil, fmt.Errorf("obs: watchdog sweep: %w", err)
+			}
+		}
 	}
 	return &Watchdog{
 		cfg:  cfg,
@@ -193,12 +207,15 @@ type bundleMeta struct {
 	Build      BuildProvenance   `json:"build"`
 }
 
+// tmpBundlePrefix names a bundle directory still being captured.
+const tmpBundlePrefix = ".tmp-"
+
 func (w *Watchdog) capture(seq uint64, breaches []Breach) (string, error) {
 	now := time.Now().UTC()
 	// The sequence number keeps same-millisecond captures from colliding
 	// while preserving chronological sort order of bundle names.
 	name := fmt.Sprintf("bundle-%s-%06d-%s", now.Format("20060102T150405.000"), seq, sanitizeName(breaches[0].Rule))
-	dir := filepath.Join(w.cfg.Dir, name)
+	dir := filepath.Join(w.cfg.Dir, tmpBundlePrefix+name)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", fmt.Errorf("obs: bundle dir: %w", err)
 	}
@@ -255,8 +272,13 @@ func (w *Watchdog) capture(seq uint64, breaches []Breach) (string, error) {
 		enc.SetIndent("", "  ")
 		return enc.Encode(&meta)
 	})
+	if err == nil {
+		// The commit point: the bundle appears whole under its name.
+		err = os.Rename(dir, filepath.Join(w.cfg.Dir, name))
+	}
 	if err != nil {
-		return name, err
+		os.RemoveAll(dir)
+		return "", fmt.Errorf("obs: bundle %s: %w", name, err)
 	}
 	w.prune()
 	w.cfg.Logger.Info("captured diagnostics bundle", "component", "watchdog",

@@ -8,11 +8,12 @@ import (
 	"repro/internal/trace"
 )
 
-// Vectorized ingest (DESIGN.md §11): IngestBatch pushes a whole decoded
-// batch through the same pipeline as Ingest — dedup + window insert,
-// WAL durability before the ack, online accuracy scoring, refit
-// scheduling — while amortizing the per-record costs the scalar path
-// pays N times:
+// Vectorized ingest (DESIGN.md §11): ingestBatch is the one ingest
+// pipeline — validate, model lookup, shard lock, detect + append, WAL
+// durability before the ack, online accuracy scoring, refit scheduling.
+// Every caller goes through it: both /ingest wires (one call per
+// request), IngestBatch, Service.Ingest (a batch of one), and cluster
+// replication (IngestBatchReplica). Per-record costs are amortized:
 //
 //   - records are grouped by store shard (counting sort, stable so each
 //     target sees its records in arrival order) and every shard lock is
@@ -21,10 +22,12 @@ import (
 //     one WAL lock, one buffered write, one fsync;
 //   - every piece of per-record scratch state lives in a pooled arena,
 //     so the path performs amortized zero allocations per record
-//     (pinned by TestIngestBatchZeroAlloc / BenchmarkIngestBatch).
+//     (pinned by TestIngestBatchZeroAlloc / BenchmarkIngestBatch);
+//   - each stage histogram observes once per call, whatever the batch
+//     size (per-record cost: stage sum over the record counters).
 //
-// Ordering guarantees are identical to N scalar Ingest calls in batch
-// order: registry lookups happen before any store insert
+// Ordering guarantees are identical to applying the records one at a
+// time in batch order: registry lookups happen before any store insert
 // (score-then-append — the accuracy tracker judges the forecast that
 // existed while the arrival was still the future), PrevStats are
 // captured per record under the shard lock immediately before its
@@ -83,23 +86,19 @@ var batchPool = sync.Pool{New: func() any { return &batchScratch{} }}
 // re-serialization path: the HTTP layer passes BatchDecoder.Payload);
 // when nil the service encodes accepted records itself.
 //
-// Error semantics mirror the scalar path, batched: ErrShedding means
-// nothing was applied; ErrNotDurable means the counted records are in
-// memory but the batch's WAL append failed, so the client must retry
-// (dedup absorbs the replay); a *BatchRecordError means everything
-// before the named record was applied and nothing at or after it was.
+// Error semantics: ErrShedding means nothing was applied; ErrNotDurable
+// means the counted records are in memory but the batch's WAL append
+// failed, so the client must retry (dedup absorbs the replay); a
+// *BatchRecordError means everything before the named record was applied
+// and nothing at or after it was.
 func (s *Service) IngestBatch(records []trace.Attack, payload func(i int) []byte) (BatchResult, error) {
-	res, _, err := s.ingestBatchTimed(records, payload)
+	res, _, err := s.ingestBatch(records, payload, true)
 	return res, err
 }
 
-func (s *Service) ingestBatchTimed(records []trace.Attack, payload func(i int) []byte) (BatchResult, ingestStageTimes, error) {
-	return s.ingestBatch(records, payload, true)
-}
-
-// ingestBatch is the shared body. shed=false is the replication-apply
-// path (IngestBatchReplica): a follower keeping warm must not be turned
-// away by its own refit backlog.
+// ingestBatch is the shared body. Shedding is decided once per call;
+// shed=false is the replication-apply path (IngestBatchReplica): a
+// follower keeping warm must not be turned away by its own refit backlog.
 func (s *Service) ingestBatch(records []trace.Attack, payload func(i int) []byte, shed bool) (BatchResult, ingestStageTimes, error) {
 	var res BatchResult
 	var st ingestStageTimes
@@ -264,6 +263,9 @@ func (s *Service) ingestBatch(records []trace.Attack, payload func(i int) []byte
 		return res, st, fmt.Errorf("%w: %w", ErrNotDurable, walErr)
 	}
 
+	// Score only in-order, non-first arrivals: the first record has no
+	// history to forecast from, and a backfilled out-of-order record was
+	// never "the next attack" any forecast claimed to predict.
 	t1 := time.Now()
 	for i := 0; i < n; i++ {
 		r := &b.recs[i]

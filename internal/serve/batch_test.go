@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -123,82 +124,155 @@ func TestIngestBinaryBatchRecordCap(t *testing.T) {
 	}
 }
 
-// TestIngestErrorIndexConvention pins the unified failing-record index
-// convention across every /ingest error path: the failing record is
-// counted in Rejected and the error names its 1-based batch position,
-// which always equals Ingested+Duplicates+Rejected.
+// TestIngestErrorIndexConvention pins one /ingest contract on both
+// wires: every case runs over JSON and over the binary batch wire and
+// must produce the same status and IngestResult counts. On a 400 the
+// failing record is counted in Rejected and the error names its 1-based
+// position, which equals Ingested+Duplicates+Rejected. The one
+// documented difference is the binary-frame rule: an undecodable frame
+// applies nothing (all counts zero) while the error still names it.
 func TestIngestErrorIndexConvention(t *testing.T) {
-	newSrv := func(t *testing.T) (*Service, *httptest.Server) {
-		svc := New(testConfig())
-		t.Cleanup(svc.Close)
-		srv := httptest.NewServer(svc.Handler())
-		t.Cleanup(srv.Close)
-		return svc, srv
+	const capRecords = 4
+	wires := []struct {
+		name, contentType string
+		encode            func(t testing.TB, attacks []trace.Attack) []byte
+		// torn encodes attacks with the last record undecodable.
+		torn func(t testing.TB, attacks []trace.Attack) []byte
+	}{
+		{"json", "application/json", encodeJSON, func(t testing.TB, attacks []trace.Attack) []byte {
+			var body bytes.Buffer
+			for i := range attacks[:len(attacks)-1] {
+				writeNDJSON(t, &body, &attacks[i])
+			}
+			body.WriteString(`{nope`)
+			return body.Bytes()
+		}},
+		{"binary", trace.BatchContentType, encodeBinaryBatch, func(t testing.TB, attacks []trace.Attack) []byte {
+			body := encodeBinaryBatch(t, attacks)
+			body[len(body)-1] ^= 0x01 // the last frame's checksum fails
+			return body
+		}},
 	}
+	duplicate := mkAttacks(64512, 0, 2)
+	duplicate = append(duplicate, duplicate[0])
+	invalid := mkAttacks(64512, 0, 3)
+	invalid[1].TargetAS = 0
+	cases := []struct {
+		name    string
+		attacks []trace.Attack
+		torn    bool
+		setup   func(t *testing.T, svc *Service)
+		status  int
+		want    IngestResult // counts; Error is checked separately
+		failAt  int          // the record a 400 names
+		// heal, when set, clears the fault; resending the body must then
+		// answer 200 with retry.
+		heal  func(svc *Service)
+		retry IngestResult
+	}{
+		{name: "clean", attacks: mkAttacks(64512, 0, 3),
+			status: http.StatusOK, want: IngestResult{Ingested: 3}},
+		{name: "duplicate", attacks: duplicate,
+			status: http.StatusOK, want: IngestResult{Ingested: 2, Duplicates: 1}},
+		{name: "reject", attacks: invalid,
+			status: http.StatusBadRequest, want: IngestResult{Ingested: 1, Rejected: 1}, failAt: 2},
+		{name: "decode error", attacks: mkAttacks(64512, 0, 3), torn: true,
+			status: http.StatusBadRequest, want: IngestResult{Ingested: 2, Rejected: 1}, failAt: 3},
+		{name: "at cap", attacks: mkAttacks(64512, 0, capRecords),
+			status: http.StatusOK, want: IngestResult{Ingested: capRecords}},
+		{name: "over cap", attacks: mkAttacks(64512, 0, capRecords+1),
+			status: http.StatusRequestEntityTooLarge},
+		{name: "wal closed", attacks: mkAttacks(64512, 0, 2),
+			setup: func(t *testing.T, svc *Service) {
+				w := openWAL(t, t.TempDir(), 0)
+				svc.AttachWAL(w, nil)
+				w.Close() // every append now fails
+			},
+			status: http.StatusInternalServerError, want: IngestResult{Ingested: 2},
+			heal: (*Service).DetachWAL, retry: IngestResult{Duplicates: 2}},
+		{name: "shed", attacks: mkAttacks(64512, 0, 2),
+			setup:  func(_ *testing.T, svc *Service) { svc.sched.lag.Store(int64(svc.cfg.LagWatermark) + 1) },
+			status: http.StatusTooManyRequests,
+			heal:   func(svc *Service) { svc.sched.lag.Store(0) }, retry: IngestResult{Ingested: 2}},
+	}
+	for _, w := range wires {
+		for _, c := range cases {
+			t.Run(w.name+" "+c.name, func(t *testing.T) {
+				cfg := testConfig()
+				cfg.MaxBatchRecords = capRecords
+				svc := New(cfg)
+				t.Cleanup(svc.Close)
+				srv := httptest.NewServer(svc.Handler())
+				t.Cleanup(srv.Close)
+				if c.setup != nil {
+					c.setup(t, svc)
+				}
+				body := w.encode(t, c.attacks)
+				if c.torn {
+					body = w.torn(t, c.attacks)
+				}
+				post := func() (int, http.Header, IngestResult) {
+					resp, err := http.Post(srv.URL+"/ingest", w.contentType, bytes.NewReader(body))
+					if err != nil {
+						t.Fatal(err)
+					}
+					return resp.StatusCode, resp.Header, decodeBody[IngestResult](t, resp)
+				}
 
-	t.Run("json decode error", func(t *testing.T) {
-		_, srv := newSrv(t)
-		attacks := mkAttacks(64512, 0, 2)
-		var body bytes.Buffer
-		for i := range attacks {
-			writeNDJSON(t, &body, &attacks[i])
-		}
-		body.WriteString(`{nope`)
-		resp, err := http.Post(srv.URL+"/ingest", "application/json", &body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := decodeBody[IngestResult](t, resp)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("status %d, want 400", resp.StatusCode)
-		}
-		if res.Ingested != 2 || res.Duplicates != 0 || res.Rejected != 1 {
-			t.Fatalf("counts %+v, want ingested 2, rejected 1", res)
-		}
-		if want := fmt.Sprintf("record %d:", res.Ingested+res.Duplicates+res.Rejected); !strings.HasPrefix(res.Error, want) {
-			t.Fatalf("error %q does not open with %q", res.Error, want)
-		}
-	})
+				status, hdr, res := post()
+				want := c.want
+				frameRule := c.torn && w.name == "binary"
+				if frameRule {
+					want = IngestResult{} // an undecodable frame applies nothing
+				}
+				if status != c.status {
+					t.Fatalf("status %d, want %d (%+v)", status, c.status, res)
+				}
+				if got := (IngestResult{Ingested: res.Ingested, Duplicates: res.Duplicates, Rejected: res.Rejected}); got != want {
+					t.Fatalf("counts %+v, want %+v", res, want)
+				}
+				if (status == http.StatusOK) != (res.Error == "") {
+					t.Fatalf("status %d with error %q", status, res.Error)
+				}
+				if status == http.StatusBadRequest {
+					if !frameRule && res.Ingested+res.Duplicates+res.Rejected != c.failAt {
+						t.Fatalf("counts %+v do not sum to the failing record %d", res, c.failAt)
+					}
+					if prefix := fmt.Sprintf("record %d:", c.failAt); !strings.HasPrefix(res.Error, prefix) {
+						t.Fatalf("error %q does not open with %q", res.Error, prefix)
+					}
+				}
+				if status == http.StatusTooManyRequests && hdr.Get("Retry-After") == "" {
+					t.Fatal("429 without Retry-After")
+				}
+				if _, total := svc.Store().Window(64512); total != uint64(want.Ingested) {
+					t.Fatalf("store total %d, want the %d ingested records", total, want.Ingested)
+				}
 
-	t.Run("json reject", func(t *testing.T) {
-		_, srv := newSrv(t)
-		attacks := mkAttacks(64512, 0, 3)
-		attacks[2].Family = ""
-		resp := postAttacks(t, srv.URL, attacks)
-		res := decodeBody[IngestResult](t, resp)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("status %d, want 400", resp.StatusCode)
+				if c.heal == nil {
+					return
+				}
+				c.heal(svc)
+				status, _, res = post()
+				if status != http.StatusOK || res != c.retry {
+					t.Fatalf("retry: status %d, result %+v, want 200 and %+v", status, res, c.retry)
+				}
+			})
 		}
-		if res.Ingested != 2 || res.Duplicates != 0 || res.Rejected != 1 {
-			t.Fatalf("counts %+v, want ingested 2, rejected 1", res)
-		}
-		if want := fmt.Sprintf("record %d:", res.Ingested+res.Duplicates+res.Rejected); !strings.HasPrefix(res.Error, want) {
-			t.Fatalf("error %q does not open with %q", res.Error, want)
-		}
-	})
-
-	t.Run("binary reject", func(t *testing.T) {
-		svc, srv := newSrv(t)
-		attacks := mkAttacks(64512, 0, 3)
-		attacks[1].TargetAS = 0 // invalid: prefix of 1 applies, rest does not
-		resp := postBinary(t, srv.URL, encodeBinaryBatch(t, attacks))
-		res := decodeBody[IngestResult](t, resp)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("status %d, want 400", resp.StatusCode)
-		}
-		if res.Ingested != 1 || res.Duplicates != 0 || res.Rejected != 1 {
-			t.Fatalf("counts %+v, want ingested 1, rejected 1", res)
-		}
-		if want := fmt.Sprintf("record %d:", res.Ingested+res.Duplicates+res.Rejected); !strings.HasPrefix(res.Error, want) {
-			t.Fatalf("error %q does not open with %q", res.Error, want)
-		}
-		if _, total := svc.Store().Window(64512); total != 1 {
-			t.Fatalf("store total %d, want the 1-record prefix", total)
-		}
-	})
+	}
 }
 
-func writeNDJSON(t *testing.T, w io.Writer, a *trace.Attack) {
+// encodeJSON frames attacks as a JSON-array /ingest body.
+func encodeJSON(t testing.TB, attacks []trace.Attack) []byte {
+	t.Helper()
+	body, err := json.Marshal(attacks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+func writeNDJSON(t testing.TB, w io.Writer, a *trace.Attack) {
 	t.Helper()
 	buf, err := json.Marshal(a)
 	if err != nil {
@@ -360,6 +434,115 @@ func TestCrossWireEquivalence(t *testing.T) {
 	}
 }
 
+// TestStoreOwnsBotLists pins that the store copies every record's bot
+// list: a caller (the binary wire's pooled decoder) may overwrite its
+// buffer as soon as IngestBatch returns, and neither Window nor
+// Checkpoint may change, nor may a copy taken earlier change when later
+// records land in the same target's bot chunk.
+func TestStoreOwnsBotLists(t *testing.T) {
+	svc := New(testConfig())
+	defer svc.Close()
+
+	attacks := mkAttacks(64512, 0, 40)
+	attacks[3].Bots = make([]astopo.IPv4, 2*botChunk+1) // larger than a chunk
+	attacks[5].Bots = nil
+	var buf []astopo.IPv4 // one caller buffer behind every record's bots
+	for i := range attacks {
+		for j := range attacks[i].Bots {
+			buf = append(buf, astopo.IPv4(i<<16|j+1))
+		}
+	}
+	want := map[int][]astopo.IPv4{} // by attack ID
+	off, firstBatch := 0, 0
+	for i := range attacks {
+		if n := len(attacks[i].Bots); n > 0 {
+			attacks[i].Bots = buf[off : off+n]
+			off += n
+		}
+		want[attacks[i].ID] = slices.Clone(attacks[i].Bots)
+		if i == 29 {
+			firstBatch = off
+		}
+	}
+	check := func(what string, got []trace.Attack, n int) {
+		t.Helper()
+		if len(got) != n {
+			t.Fatalf("%s holds %d records, want %d", what, len(got), n)
+		}
+		for i := range got {
+			w := want[got[i].ID]
+			if !slices.Equal(got[i].Bots, w) || (got[i].Bots == nil) != (w == nil) {
+				t.Fatalf("%s attack %d bots = %v, want %v", what, got[i].ID, got[i].Bots, w)
+			}
+		}
+	}
+
+	if _, err := svc.IngestBatch(attacks[:30], nil); err != nil {
+		t.Fatal(err)
+	}
+	early, _ := svc.Store().Window(64512)
+	for i := range buf[:firstBatch] {
+		buf[i] = 0xdeadbeef // the caller reuses its buffer
+	}
+	check("window", early, 30)
+
+	// Later records fill the same target's chunk: the earlier copy and
+	// the checkpoint must both keep the bots they were handed.
+	if _, err := svc.IngestBatch(attacks[30:], nil); err != nil {
+		t.Fatal(err)
+	}
+	check("earlier window copy", early, 30)
+	cp := svc.Store().Checkpoint()
+	if len(cp) != 1 {
+		t.Fatalf("checkpoint holds %d targets, want 1", len(cp))
+	}
+	check("checkpoint", cp[0].Attacks, 40)
+}
+
+// TestBinaryWireKeepsBotsAcrossBatches is TestStoreOwnsBotLists over
+// HTTP: pooled batch decoders reuse their bot arena for the next request,
+// which must not reach records an earlier request stored.
+func TestBinaryWireKeepsBotsAcrossBatches(t *testing.T) {
+	svc := New(testConfig())
+	defer svc.Close()
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+
+	first := mkAttacks(64512, 0, 8)
+	for i := range first {
+		for j := range first[i].Bots {
+			first[i].Bots[j] = astopo.IPv4(1000*i + j + 1)
+		}
+	}
+	post := func(batch []trace.Attack) {
+		t.Helper()
+		resp := postBinary(t, srv.URL, encodeBinaryBatch(t, batch))
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d", resp.StatusCode)
+		}
+	}
+	post(first)
+	for b := 0; b < 20; b++ {
+		next := mkAttacks(65000, 100*(b+1), 8)
+		for i := range next {
+			for j := range next[i].Bots {
+				next[i].Bots[j] = 0xfeedface
+			}
+		}
+		post(next)
+	}
+	window, _ := svc.Store().Window(64512)
+	if len(window) != len(first) {
+		t.Fatalf("window holds %d records, want %d", len(window), len(first))
+	}
+	for i := range window {
+		if !slices.Equal(window[i].Bots, first[i].Bots) {
+			t.Fatalf("record %d bots = %v, want %v", i, window[i].Bots, first[i].Bots)
+		}
+	}
+}
+
 // TestIngestBatchDurableBeforeAck pins durability-before-ack on the
 // batch path: every acked record is in the WAL when IngestBatch returns.
 func TestIngestBatchDurableBeforeAck(t *testing.T) {
@@ -412,7 +595,7 @@ func TestIngestBatchZeroAlloc(t *testing.T) {
 			if err := dec.Decode(0); err != nil {
 				t.Fatal(err)
 			}
-			if _, _, err := svc.ingestBatchTimed(dec.Records(), dec.Payload); err != nil {
+			if _, err := svc.IngestBatch(dec.Records(), dec.Payload); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -519,7 +702,7 @@ func BenchmarkIngestBatchBinary(b *testing.B) {
 		if err := dec.Decode(0); err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := svc.ingestBatchTimed(dec.Records(), dec.Payload); err != nil {
+		if _, err := svc.IngestBatch(dec.Records(), dec.Payload); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -143,7 +143,7 @@ func TestIngestBatchDetectZeroAlloc(t *testing.T) {
 			if err := dec.Decode(0); err != nil {
 				t.Fatal(err)
 			}
-			if _, _, err := svc.ingestBatchTimed(dec.Records(), dec.Payload); err != nil {
+			if _, err := svc.IngestBatch(dec.Records(), dec.Payload); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -173,7 +173,7 @@ func BenchmarkIngestBatchBinaryDetect(b *testing.B) {
 		if err := dec.Decode(0); err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := svc.ingestBatchTimed(dec.Records(), dec.Payload); err != nil {
+		if _, err := svc.IngestBatch(dec.Records(), dec.Payload); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -8,7 +8,6 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"repro/internal/trace"
@@ -18,15 +17,15 @@ import (
 // Durability layer (DESIGN.md §10): the glue between the serving stack
 // and internal/wal. Three moving parts:
 //
-//   - Append path: once a record is accepted into the store, ingestTimed
-//     appends its binary record encoding (trace.AppendRecord — the same
-//     bytes the batch wire carries) to the WAL before the HTTP ack (the
-//     StageWAL child of the ingest span); ingestBatchTimed appends a whole
-//     batch's frames in one wal.AppendBatch call, passing binary-wire
-//     payloads through without re-serialization. Both operations happen
-//     under the shared side of the checkpoint barrier (Service.walMu).
-//     Replay dispatches per frame on the first payload byte, so logs
-//     holding legacy JSON frames keep replaying.
+//   - Append path: ingestBatch, the one ingest pipeline, appends every
+//     accepted record's binary record encoding (trace.AppendRecord — the
+//     bytes the batch wire carries, passed through without
+//     re-serialization when the request came in on that wire) in one
+//     wal.AppendBatch call before the ack (the StageWAL child of the
+//     ingest span). It runs under the shared side of the checkpoint
+//     barrier (Service.walMu) together with the store insert. Replay
+//     dispatches per frame on the first payload byte, so logs holding
+//     legacy JSON frames keep replaying.
 //   - Recovery path: RecoverWAL restores the last durable checkpoint into
 //     the store, replays the WAL tail (stopping cleanly at a torn frame),
 //     re-schedules refits for every recovered target, and waits for the
@@ -46,10 +45,10 @@ const checkpointName = "checkpoint.json"
 // the background loop and drive checkpoints explicitly.
 var walCheckInterval = time.Second
 
-// ErrNotDurable wraps WAL append failures surfaced through Ingest: the
-// record was applied in memory but could not be persisted, so the client
-// must treat the request as failed and retry. The HTTP layer maps it to
-// 500 rather than 400 (the record itself was fine).
+// ErrNotDurable wraps WAL append failures surfaced by ingest: the records
+// were applied in memory but could not be persisted, so the client must
+// treat the request as failed and retry (dedup absorbs the replay). The
+// HTTP layer maps it to 500 rather than 400 (the records were fine).
 var ErrNotDurable = errors.New("serve: record not durable")
 
 // checkpointFile is the on-disk checkpoint: the store image plus the WAL
@@ -115,37 +114,9 @@ func (s *Service) WALStats() (wal.Stats, bool) {
 	return w.Stats(), true
 }
 
-// walEncPool holds per-append encode buffers (appendWAL runs on
-// concurrent ingest requests).
-var walEncPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 256)
-	return &b
-}}
-
-// appendWAL frames one accepted record into the log using the binary
-// record encoding — the same bytes the batch wire carries, so scalar
-// and batched ingests of the same record are byte-identical in the log.
-// Called under walMu.RLock from ingestTimed.
-func (s *Service) appendWAL(w *wal.WAL, a *trace.Attack) error {
-	bp := walEncPool.Get().(*[]byte)
-	defer walEncPool.Put(bp)
-	buf, err := trace.AppendRecord((*bp)[:0], a)
-	if err != nil {
-		return fmt.Errorf("encode: %w", err)
-	}
-	*bp = buf[:0]
-	if err := w.Append(buf); err != nil {
-		return err
-	}
-	s.tel.walAppends.Inc()
-	s.tel.walBytes.Add(uint64(len(buf)) + 8)
-	s.updateWALGauges(w)
-	return nil
-}
-
-// appendWALBatch is appendWAL for a whole batch of pre-encoded frames:
-// one wal.AppendBatch call, so one log lock and one fsync. Called under
-// walMu.RLock from ingestBatchTimed.
+// appendWALBatch is the WAL append site: a batch of pre-encoded frames
+// in one wal.AppendBatch call, so one log lock and one fsync. Called
+// under walMu.RLock from ingestBatch.
 func (s *Service) appendWALBatch(w *wal.WAL, payloads [][]byte) error {
 	if err := w.AppendBatch(payloads); err != nil {
 		return err

@@ -249,9 +249,9 @@ func TestWALRecoveryRejectsCorruptCheckpoint(t *testing.T) {
 }
 
 // TestIngestWALFailureMapsTo500 pins the not-durable contract: when the
-// WAL cannot take the append, the record stays in memory but the request
+// WAL cannot take the append, the whole request stays in memory but
 // fails with 500 so the client retries (the dedup window absorbs the
-// replay), and the error body still reports the committed counts.
+// replay), and the error body reports every record as ingested.
 func TestIngestWALFailureMapsTo500(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testConfig()
@@ -270,18 +270,18 @@ func TestIngestWALFailureMapsTo500(t *testing.T) {
 		t.Fatalf("status %d, want 500", resp.StatusCode)
 	}
 	res := decodeBody[IngestResult](t, resp)
-	if res.Error == "" || res.Ingested != 1 {
-		t.Fatalf("not-durable body = %+v, want error set and ingested 1", res)
+	if res.Error == "" || res.Ingested != 2 {
+		t.Fatalf("not-durable body = %+v, want error set and ingested 2", res)
 	}
 
-	// The record is in memory: resending it after the WAL heals dedups.
+	// The records are in memory: resending them after the WAL heals dedups.
 	svc.DetachWAL()
-	resp = postAttacks(t, srv.URL, attacks[:1])
+	resp = postAttacks(t, srv.URL, attacks)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("retry status %d, want 200", resp.StatusCode)
 	}
-	if res := decodeBody[IngestResult](t, resp); res.Duplicates != 1 || res.Ingested != 0 {
-		t.Fatalf("retry = %+v, want 1 duplicate", res)
+	if res := decodeBody[IngestResult](t, resp); res.Duplicates != 2 || res.Ingested != 0 {
+		t.Fatalf("retry = %+v, want 2 duplicates", res)
 	}
 }
 

@@ -20,7 +20,8 @@ import (
 //
 //	POST /ingest        — attack records: one object, an array, or NDJSON;
 //	                      or a binary batch with Content-Type
-//	                      application/x-ddos-batch (trace.BatchEncoder)
+//	                      application/x-ddos-batch (trace.BatchEncoder);
+//	                      either wire feeds one batch call per request
 //	GET  /forecast      — ?target=<AS>: next-attack forecast for the target
 //	GET  /healthz       — liveness + store/registry/backlog summary
 //	GET  /metrics       — Prometheus text exposition
@@ -55,16 +56,18 @@ func (s *Service) Handler() http.Handler {
 	return mux
 }
 
-// IngestResult is the /ingest response body. On a mid-batch failure the
-// same shape comes back with Error set: Ingested/Duplicates report what
-// the service already committed before the bad record, so clients can
-// resume a partially applied batch instead of blindly resending it. The
-// failing record itself is counted in Rejected and the error names its
-// 1-based position — always Ingested+Duplicates+Rejected, on every
-// error path. (Binary batches are the one exception: a frame that fails
-// to decode aborts the whole batch before anything is applied, so all
-// three counts come back zero and the error still names the frame's
-// position.)
+// IngestResult is the /ingest response body, the same on both wires. On
+// a mid-batch failure the same shape comes back with Error set:
+// Ingested/Duplicates report what the service already committed before
+// the bad record, so clients can resume a partially applied batch
+// instead of blindly resending it. The failing record itself is counted
+// in Rejected and the error names its 1-based position — always
+// Ingested+Duplicates+Rejected. A failed WAL append (500) counts every
+// record of the request, all of them in memory; shedding (429) and a body
+// over either cap (413) apply nothing. (Binary batches add one rule: a
+// frame that fails to decode aborts the whole batch before anything is
+// applied, so all three counts come back zero and the error still names
+// the frame's position.)
 type IngestResult struct {
 	Ingested   int    `json:"ingested"`
 	Duplicates int    `json:"duplicates"`
@@ -72,6 +75,9 @@ type IngestResult struct {
 	Error      string `json:"error,omitempty"`
 }
 
+// handleIngest decodes one request on either wire into a []trace.Attack,
+// applies it with one ingestBatch call, and answers through
+// writeIngestResult.
 func (s *Service) handleIngest(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	defer func() { s.tel.ingestSeconds.Observe(time.Since(start).Seconds()) }()
@@ -79,24 +85,24 @@ func (s *Service) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	// One root span per request; the per-record append/wal/score/schedule
-	// wall times are summed and attached as pre-measured children
-	// (per-record observations already hit the stage histograms inside
-	// ingestTimed, so Attach keeps the trace tree without double-counting).
-	// A request forwarded by a cluster router carries trace context (header
-	// on proxied sub-requests, ?xtrace= on 307 redirects) — this root then
-	// joins the router's trace instead of opening its own.
+	// One root span per request; ingestBatch's stage wall times are
+	// attached as pre-measured children (ingestBatch already observed them
+	// in the stage histograms, so Attach keeps the trace tree without
+	// double-counting). A request forwarded by a cluster router carries
+	// trace context (header on proxied sub-requests, ?xtrace= on 307
+	// redirects) — this root then joins the router's trace instead of
+	// opening its own.
 	ctx, _ := obs.ContextFromRequest(r)
 	span := s.tracer.StartRemote(StageIngest, ctx)
-	var agg ingestStageTimes
+	var st ingestStageTimes
 	outcome := "ok"
 	var res IngestResult
 	defer func() {
-		span.Attach(StageAppend, start, agg.Append)
-		span.Attach(StageDetect, start, agg.Detect)
-		span.Attach(StageWAL, start, agg.WAL)
-		span.Attach(StageScore, start, agg.Score)
-		span.Attach(StageSchedule, start, agg.Schedule)
+		span.Attach(StageAppend, start, st.Append)
+		span.Attach(StageDetect, start, st.Detect)
+		span.Attach(StageWAL, start, st.WAL)
+		span.Attach(StageScore, start, st.Score)
+		span.Attach(StageSchedule, start, st.Schedule)
 		span.SetAttr("outcome", outcome)
 		span.SetAttr("ingested", strconv.Itoa(res.Ingested))
 		span.SetAttr("duplicates", strconv.Itoa(res.Duplicates))
@@ -104,146 +110,106 @@ func (s *Service) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}()
 	// Refresh the target gauges on every exit, not only full success:
 	// records committed mid-batch must show even when the request then
-	// sheds or errors, or ddosd_targets_* goes stale under sustained
-	// error traffic.
+	// errors, or ddosd_targets_* goes stale under sustained error traffic.
 	defer s.updateTargetGauges()
-	if s.sched.Overloaded() {
-		s.tel.ingestShed.Inc()
-		outcome = "shed"
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests,
-			fmt.Sprintf("refit backlog %d over watermark %d", s.sched.Lag(), s.cfg.LagWatermark))
-		return
-	}
+
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBatchBytes)
+	var records []trace.Attack
+	var payload func(int) []byte
+	var err error
 	if r.Header.Get("Content-Type") == trace.BatchContentType {
-		s.ingestBinary(w, body, &res, &agg, &outcome)
-		return
+		dec := batchDecPool.Get().(*trace.BatchDecoder)
+		defer batchDecPool.Put(dec)
+		dec.Reset(body)
+		err = dec.Decode(s.cfg.MaxBatchRecords)
+		records, payload = dec.Records(), dec.Payload
+	} else {
+		buf := jsonRecsPool.Get().(*[]trace.Attack)
+		defer func() {
+			clear(*buf) // don't pin bot lists and family strings in the pool
+			jsonRecsPool.Put(buf)
+		}()
+		records, err = decodeJSONIngest(body, (*buf)[:0], s.cfg.MaxBatchRecords)
+		*buf = records
 	}
-	dec := trace.NewStreamDecoder(body)
-	for {
-		if res.Ingested+res.Duplicates+res.Rejected >= s.cfg.MaxBatchRecords {
-			outcome = "too_large"
-			writeIngestError(w, http.StatusRequestEntityTooLarge, &res,
-				fmt.Sprintf("batch larger than %d records", s.cfg.MaxBatchRecords))
-			return
-		}
-		a, err := dec.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			outcome = "too_large"
-			writeIngestError(w, http.StatusRequestEntityTooLarge, &res,
-				fmt.Sprintf("request body larger than %d bytes", tooBig.Limit))
-			return
-		}
-		if err != nil {
-			res.Rejected++
-			outcome = "bad_record"
-			writeIngestError(w, http.StatusBadRequest, &res, fmt.Sprintf("record %d: %v",
-				res.Ingested+res.Duplicates+res.Rejected, err))
-			return
-		}
-		ok, st, err := s.ingestTimed(a)
-		agg.Append += st.Append
-		agg.Detect += st.Detect
-		agg.WAL += st.WAL
-		agg.Score += st.Score
-		agg.Schedule += st.Schedule
-		if ok {
-			res.Ingested++
-		}
-		switch {
-		case errors.Is(err, ErrShedding):
-			outcome = "shed"
-			w.Header().Set("Retry-After", "1")
-			writeIngestError(w, http.StatusTooManyRequests, &res, err.Error())
-			return
-		case errors.Is(err, ErrNotDurable):
-			// Applied in memory but not persisted: fail the request so the
-			// client retries; the dedup window absorbs the replayed records.
-			outcome = "not_durable"
-			writeIngestError(w, http.StatusInternalServerError, &res, err.Error())
-			return
-		case err != nil:
-			res.Rejected++
-			outcome = "bad_record"
-			writeIngestError(w, http.StatusBadRequest, &res, fmt.Sprintf("record %d: %v",
-				res.Ingested+res.Duplicates+res.Rejected, err))
-			return
-		case !ok:
-			res.Duplicates++
+	// A decode error applies nothing, except a JSON record that fails to
+	// decode: the records before it still apply, as on a mid-batch reject.
+	var prefix *BatchRecordError
+	if err == nil || errors.As(err, &prefix) {
+		br, times, applyErr := s.ingestBatch(records, payload, true)
+		st, res.Ingested, res.Duplicates = times, br.Ingested, br.Duplicates
+		if applyErr != nil {
+			err = applyErr
 		}
 	}
-	writeJSON(w, http.StatusOK, &res)
+	outcome = writeIngestResult(w, res, err)
+}
+
+// writeIngestResult answers an /ingest request — one status mapping for
+// both wires — and returns the span's outcome. An error body keeps the
+// committed counts alongside the error.
+func writeIngestResult(w http.ResponseWriter, res IngestResult, err error) string {
+	if err == nil {
+		writeJSON(w, http.StatusOK, &res)
+		return "ok"
+	}
+	res.Error = err.Error()
+	// The default: an invalid record, or a torn, corrupt, or mislabeled
+	// binary body (which applied nothing).
+	status, outcome := http.StatusBadRequest, "bad_record"
+	var tooBig *http.MaxBytesError
+	var tooMany *trace.BatchTooLargeError
+	var bad *BatchRecordError
+	switch {
+	case errors.As(err, &tooBig):
+		status, outcome = http.StatusRequestEntityTooLarge, "too_large"
+		res.Error = fmt.Sprintf("request body larger than %d bytes", tooBig.Limit)
+	case errors.As(err, &tooMany):
+		status, outcome = http.StatusRequestEntityTooLarge, "too_large"
+	case errors.Is(err, ErrShedding):
+		status, outcome = http.StatusTooManyRequests, "shed"
+		w.Header().Set("Retry-After", "1")
+	case errors.Is(err, ErrNotDurable):
+		// Applied in memory but not persisted: fail the request so the
+		// client retries; the dedup window absorbs the replayed records.
+		status, outcome = http.StatusInternalServerError, "not_durable"
+	case errors.As(err, &bad):
+		res.Rejected = 1 // the failing record; nothing after it was applied
+	}
+	writeJSON(w, status, &res)
+	return outcome
 }
 
 // batchDecPool recycles binary batch decoders across /ingest requests;
 // a warm decoder's arenas make the decode path amortized zero-alloc.
 var batchDecPool = sync.Pool{New: func() any { return trace.NewBatchDecoder() }}
 
-// ingestBinary handles an application/x-ddos-batch body: decode the
-// whole batch (nothing is applied from a batch with an undecodable
-// frame), then apply it through the vectorized IngestBatch, handing the
-// decoder's raw frame payloads to the WAL untouched.
-func (s *Service) ingestBinary(w http.ResponseWriter, body io.Reader, res *IngestResult, agg *ingestStageTimes, outcome *string) {
-	dec := batchDecPool.Get().(*trace.BatchDecoder)
-	defer batchDecPool.Put(dec)
-	dec.Reset(body)
-	if err := dec.Decode(s.cfg.MaxBatchRecords); err != nil {
-		var tooBig *http.MaxBytesError
-		var tooMany *trace.BatchTooLargeError
-		switch {
-		case errors.As(err, &tooBig):
-			*outcome = "too_large"
-			writeIngestError(w, http.StatusRequestEntityTooLarge, res,
-				fmt.Sprintf("request body larger than %d bytes", tooBig.Limit))
-		case errors.As(err, &tooMany):
-			*outcome = "too_large"
-			writeIngestError(w, http.StatusRequestEntityTooLarge, res,
-				fmt.Sprintf("batch larger than %d records", tooMany.Max))
-		default:
-			// A torn, corrupt, or mislabeled batch: nothing was applied.
-			// BatchFrameError already names the failing record's 1-based
-			// position.
-			*outcome = "bad_record"
-			writeIngestError(w, http.StatusBadRequest, res, err.Error())
-		}
-		return
-	}
-	br, st, err := s.ingestBatchTimed(dec.Records(), dec.Payload)
-	*agg = st
-	res.Ingested = br.Ingested
-	res.Duplicates = br.Duplicates
-	switch {
-	case errors.Is(err, ErrShedding):
-		*outcome = "shed"
-		w.Header().Set("Retry-After", "1")
-		writeIngestError(w, http.StatusTooManyRequests, res, err.Error())
-	case errors.Is(err, ErrNotDurable):
-		*outcome = "not_durable"
-		writeIngestError(w, http.StatusInternalServerError, res, err.Error())
-	case err != nil:
-		// *BatchRecordError: the prefix before the named record was
-		// applied, the rest was not. Same index convention as the JSON
-		// wire: Ingested+Duplicates+Rejected.
-		res.Rejected++
-		*outcome = "bad_record"
-		writeIngestError(w, http.StatusBadRequest, res, err.Error())
-	default:
-		writeJSON(w, http.StatusOK, res)
-	}
-}
+// jsonRecsPool recycles the JSON wire's decoded-record slices.
+var jsonRecsPool = sync.Pool{New: func() any { return new([]trace.Attack) }}
 
-// writeIngestError reports a failed /ingest request without discarding
-// what already happened: the body carries the committed ingested and
-// duplicate counts alongside the error.
-func writeIngestError(w http.ResponseWriter, status int, res *IngestResult, msg string) {
-	out := *res
-	out.Error = msg
-	writeJSON(w, status, &out)
+// decodeJSONIngest appends a JSON /ingest body — one object, an array,
+// or NDJSON — to recs. Like the binary wire's BatchDecoder.Decode, a
+// body over maxRecords records or over the byte cap returns an error
+// that applies nothing. A record that fails to decode ends the body
+// instead: the records before it are returned with a *BatchRecordError
+// naming its 1-based position, and the caller still applies them.
+func decodeJSONIngest(body io.Reader, recs []trace.Attack, maxRecords int) ([]trace.Attack, error) {
+	dec := trace.NewStreamDecoder(body)
+	var tooBig *http.MaxBytesError
+	for {
+		a, err := dec.Next()
+		switch {
+		case errors.Is(err, io.EOF):
+			return recs, nil
+		case errors.As(err, &tooBig):
+			return recs, err
+		case err != nil:
+			return recs, &BatchRecordError{Index: len(recs) + 1, Err: err}
+		case len(recs) == maxRecords:
+			return recs, &trace.BatchTooLargeError{Max: maxRecords}
+		}
+		recs = append(recs, *a)
+	}
 }
 
 func (s *Service) handleForecast(w http.ResponseWriter, r *http.Request) {

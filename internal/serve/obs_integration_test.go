@@ -270,7 +270,8 @@ func TestPipelineTracesAndStageHistograms(t *testing.T) {
 
 	// Stage histograms observed each stage at least once; the attached
 	// (pre-measured) ingest children must not double-count: append was
-	// observed once per record, not once more per request.
+	// observed once for the request's one ingest call, not once more by
+	// the span's Attach.
 	counts := map[string]uint64{}
 	for stage, h := range svc.tel.stages {
 		counts[stage] = h.Count()
@@ -280,8 +281,8 @@ func TestPipelineTracesAndStageHistograms(t *testing.T) {
 			t.Fatalf("stage %q never observed: %v", stage, counts)
 		}
 	}
-	if counts[StageAppend] != 12 {
-		t.Fatalf("append observed %d times for 12 records (Attach double-count?)", counts[StageAppend])
+	if counts[StageAppend] != 1 {
+		t.Fatalf("append observed %d times for one 12-record request (Attach double-count?)", counts[StageAppend])
 	}
 	if counts[StageIngest] != 1 {
 		t.Fatalf("ingest observed %d times for 1 request", counts[StageIngest])

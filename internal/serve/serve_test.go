@@ -58,11 +58,7 @@ func mkAttacks(as astopo.AS, idBase, n int) []trace.Attack {
 
 func postAttacks(t *testing.T, url string, attacks []trace.Attack) *http.Response {
 	t.Helper()
-	body, err := json.Marshal(attacks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(url+"/ingest", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(url+"/ingest", "application/json", bytes.NewReader(encodeJSON(t, attacks)))
 	if err != nil {
 		t.Fatal(err)
 	}

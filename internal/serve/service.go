@@ -304,7 +304,7 @@ func newTelemetry(stageBuckets []float64) *telemetry {
 			"Champion/challenger promotions, by the model kind promoted to.", "kind"),
 		traceDropped: r.Counter("ddosd_trace_dropped_total", "Root spans evicted from the trace ring before any /debug/traces read."),
 		stageSecs: r.HistogramVec("ddosd_stage_seconds",
-			"Pipeline latency by stage (ingest, append, detect, wal, schedule, score, refit, fit, publish, forecast, proxy, replicate).",
+			"Pipeline latency by stage (ingest, append, detect, wal, schedule, score, refit, fit, publish, forecast, proxy, replicate). The append, detect, wal, score and schedule stages observe once per ingest call: per-record cost is the stage sum divided by ddosd_ingest_records_total + ddosd_ingest_duplicates_total.",
 			"stage", stageBuckets),
 		accMagErr: r.FGaugeVec("ddosd_accuracy_magnitude_relative_error",
 			"Windowed mean relative error of the predicted attack magnitude, per model.", "model"),
@@ -314,7 +314,7 @@ func newTelemetry(stageBuckets []float64) *telemetry {
 			"Windowed rate of predicted (day, hour) landing within tolerance, per model.", "model"),
 		accSamples: r.FGaugeVec("ddosd_accuracy_samples",
 			"All-time scored arrivals, per model.", "model"),
-		walAppendSecs:   r.Histogram("ddosd_wal_append_seconds", "WAL append latency (framing plus the sync policy's cost).", nil),
+		walAppendSecs:   r.Histogram("ddosd_wal_append_seconds", "WAL append latency per ingest call (framing plus the sync policy's cost).", nil),
 		walAppends:      r.Counter("ddosd_wal_appends_total", "Records appended to the write-ahead log."),
 		walAppendErrors: r.Counter("ddosd_wal_append_errors_total", "WAL appends that failed (the ingest was not acked durable)."),
 		walBytes:        r.Counter("ddosd_wal_appended_bytes_total", "Frame bytes appended to the write-ahead log."),
@@ -536,100 +536,27 @@ func ValidateRecord(a *trace.Attack) error {
 	return nil
 }
 
-// Ingest admits one record: dedup + window update in the store, online
+// Ingest admits one record through the batch body (ingestBatch): dedup +
+// window update in the store, WAL append before the return, online
 // accuracy scoring of the published forecast against the arrival, then a
 // refit mark once the target has accumulated RefitEvery new records (or
 // has enough history for its first fit). Returns whether the record was
-// new. Under backlog it returns ErrShedding without touching the store.
+// new. Under backlog it returns ErrShedding without touching the store;
+// a failed WAL append returns ErrNotDurable with the record applied in
+// memory; an invalid record returns the ValidateRecord error.
 func (s *Service) Ingest(a *trace.Attack) (bool, error) {
-	accepted, _, err := s.ingestTimed(a)
-	return accepted, err
+	one := [1]trace.Attack{*a}
+	res, _, err := s.ingestBatch(one[:], nil, true)
+	if bad, ok := err.(*BatchRecordError); ok {
+		err = bad.Err
+	}
+	return res.Ingested == 1, err
 }
 
-// ingestStageTimes is one record's wall time per pipeline stage; the HTTP
-// layer aggregates these into the request's trace tree.
+// ingestStageTimes is one ingest call's wall time per pipeline stage; the
+// HTTP layer attaches them to the request's trace tree.
 type ingestStageTimes struct {
 	Append, Detect, WAL, Score, Schedule time.Duration
-}
-
-// ingestTimed is Ingest plus per-stage timings. The published model set is
-// looked up *before* the store append: the accuracy tracker must judge the
-// forecast that existed while this arrival was still the future
-// (score-then-append ordering), never one refit on data that includes it.
-func (s *Service) ingestTimed(a *trace.Attack) (bool, ingestStageTimes, error) {
-	var st ingestStageTimes
-	if s.sched.Overloaded() {
-		s.tel.ingestShed.Inc()
-		return false, st, ErrShedding
-	}
-	if err := ValidateRecord(a); err != nil {
-		return false, st, err
-	}
-	tm, published := s.reg.Lookup(a.TargetAS)
-
-	// The store insert and the WAL append form the durability-critical
-	// pair: both happen under the shared side of the checkpoint barrier,
-	// so a concurrent checkpoint either sees the record in its store
-	// snapshot (and the frame in a covered segment) or sees neither.
-	w := s.walRef.Load()
-	if w != nil {
-		s.walMu.RLock()
-	}
-	t0 := time.Now()
-	since, windowLen, prev, det, accepted := s.store.ingestScored(a)
-	st.Append = time.Since(t0) - det.Dur
-	s.tel.observeStage(StageAppend, st.Append.Seconds())
-	if det.Ran {
-		st.Detect = det.Dur
-		s.tel.observeStage(StageDetect, det.Dur.Seconds())
-		s.tel.detRecords.Inc()
-		if det.Stale {
-			s.tel.detStale.Inc()
-		}
-	}
-	var walErr error
-	if accepted && w != nil {
-		t := time.Now()
-		walErr = s.appendWAL(w, a)
-		st.WAL = time.Since(t)
-		s.tel.observeStage(StageWAL, st.WAL.Seconds())
-		s.tel.walAppendSecs.Observe(st.WAL.Seconds())
-	}
-	if w != nil {
-		s.walMu.RUnlock()
-	}
-	if !accepted {
-		s.tel.ingestDups.Inc()
-		return false, st, nil
-	}
-	s.tel.ingestRecords.Inc()
-	if walErr != nil {
-		// The record is applied in memory but not persisted: fail the ack
-		// so the client retries (dedup makes the retry idempotent while
-		// the window holds the attack ID).
-		s.tel.walAppendErrors.Inc()
-		return true, st, fmt.Errorf("%w: %w", ErrNotDurable, walErr)
-	}
-
-	// Score only in-order, non-first arrivals: the first record has no
-	// history to forecast from, and a backfilled out-of-order record was
-	// never "the next attack" any forecast claimed to predict.
-	t1 := time.Now()
-	if prev.N > 0 && !a.Start.Before(prev.LastStart) {
-		s.scoreArrival(tm, published, prev, a)
-	}
-	st.Score = time.Since(t1)
-	s.tel.observeStage(StageScore, st.Score.Seconds())
-
-	t2 := time.Now()
-	if windowLen >= s.cfg.MinWindow {
-		if since >= s.cfg.RefitEvery || !published {
-			s.sched.TryEnqueue(a.TargetAS)
-		}
-	}
-	st.Schedule = time.Since(t2)
-	s.tel.observeStage(StageSchedule, st.Schedule.Seconds())
-	return true, st, nil
 }
 
 // scoreArrival folds one in-order arrival into the accuracy tracker: the

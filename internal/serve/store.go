@@ -61,6 +61,30 @@ type targetState struct {
 	touch uint64 // Store.seq value of the last accepted ingest (eviction order)
 
 	det *detect.State // streaming detector state; nil until first record with a detector attached
+
+	// bots is the current bot chunk: stored records' Bots are capped
+	// regions of it (ownBots), handed out once and never rewritten, so
+	// Window and Checkpoint copies stay valid after later inserts.
+	bots []astopo.IPv4
+}
+
+// botChunk is the bot-IP capacity of one bot chunk.
+const botChunk = 128
+
+// ownBots copies b into the target's bot chunk — allocating a fresh chunk
+// when the current one cannot hold it — and returns the capacity-capped
+// copy. Callers' bot memory (a pooled decoder arena on the binary wire)
+// is therefore never aliased by the store.
+func (ts *targetState) ownBots(b []astopo.IPv4) []astopo.IPv4 {
+	if len(b) == 0 {
+		return b[:0:0] // nil stays nil: the JSON image tells null from []
+	}
+	if cap(ts.bots)-len(ts.bots) < len(b) {
+		ts.bots = make([]astopo.IPv4, 0, max(botChunk, len(b)))
+	}
+	lo := len(ts.bots)
+	ts.bots = append(ts.bots, b...)
+	return ts.bots[lo:len(ts.bots):len(ts.bots)]
 }
 
 func (ts *targetState) addSums(a *trace.Attack) {
@@ -163,33 +187,24 @@ func (s *Store) shardFor(as astopo.AS) *storeShard {
 // Ingest folds one attack into its target's window and returns the
 // target's records-since-refit count, the window length, and whether the
 // record was new (false: a duplicate attack ID already in the window was
-// dropped).
+// dropped). It is the store's one locked single-record entry point (WAL
+// replay); live ingest goes through Service.ingestBatch.
 func (s *Store) Ingest(a *trace.Attack) (sinceRefit, windowLen int, accepted bool) {
-	sinceRefit, windowLen, _, accepted = s.IngestScored(a)
-	return sinceRefit, windowLen, accepted
-}
-
-// IngestScored is Ingest plus the pre-append window summary the accuracy
-// tracker scores baselines against. The summary is captured under the
-// same shard lock, immediately before the insert, so it reflects exactly
-// the history available when the arriving attack was still the future.
-func (s *Store) IngestScored(a *trace.Attack) (sinceRefit, windowLen int, prev PrevStats, accepted bool) {
-	sinceRefit, windowLen, prev, _, accepted = s.ingestScored(a)
-	return sinceRefit, windowLen, prev, accepted
-}
-
-// ingestScored is IngestScored plus the detect-stage outcome the service
-// layer feeds into telemetry.
-func (s *Store) ingestScored(a *trace.Attack) (sinceRefit, windowLen int, prev PrevStats, det detectOutcome, accepted bool) {
 	sh := s.shardFor(a.TargetAS)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return s.ingestLocked(sh, a)
+	sinceRefit, windowLen, _, _, accepted = s.ingestLocked(sh, a)
+	return sinceRefit, windowLen, accepted
 }
 
-// ingestLocked is IngestScored's body with sh (the shard owning
-// a.TargetAS) already locked — the unit the batched ingest path applies
-// repeatedly under one lock acquisition per shard group.
+// ingestLocked folds a into its target's window with sh (the shard
+// owning a.TargetAS) already locked — the unit the batched ingest path
+// applies repeatedly under one lock acquisition per shard group. prev is
+// the pre-append window summary the accuracy tracker scores baselines
+// against, captured immediately before the insert, so it reflects exactly
+// the history available when the arriving attack was still the future.
+// The stored record owns its bot list (a copy in the target's bot chunk),
+// so the caller may reuse a's memory as soon as the call returns.
 func (s *Store) ingestLocked(sh *storeShard, a *trace.Attack) (sinceRefit, windowLen int, prev PrevStats, det detectOutcome, accepted bool) {
 	ts := sh.targets[a.TargetAS]
 	if ts == nil {
@@ -242,6 +257,7 @@ func (s *Store) ingestLocked(sh *storeShard, a *trace.Attack) (sinceRefit, windo
 	ts.attacks = append(ts.attacks, trace.Attack{})
 	copy(ts.attacks[pos+1:], ts.attacks[pos:])
 	ts.attacks[pos] = *a
+	ts.attacks[pos].Bots = ts.ownBots(a.Bots)
 	ts.addSums(a)
 	if len(ts.attacks) > s.window {
 		for i := 0; i < len(ts.attacks)-s.window; i++ {

@@ -31,7 +31,7 @@ func TestWALReplayBitFlips(t *testing.T) {
 	}
 	const n = 64
 	for i := 0; i < n; i++ {
-		if err := w.Append(rec(i)); err != nil {
+		if err := w.AppendBatch([][]byte{rec(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}

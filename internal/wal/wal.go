@@ -69,7 +69,8 @@ var ErrClosed = errors.New("wal: closed")
 type SyncMode int
 
 const (
-	// SyncAlways fsyncs before Append returns: an acked record is on disk.
+	// SyncAlways fsyncs before AppendBatch returns: an acked record is on
+	// disk.
 	SyncAlways SyncMode = iota
 	// SyncInterval batches fsyncs on a background timer: at most one
 	// interval of acked records can be lost to a power failure.
@@ -263,54 +264,15 @@ func (w *WAL) openActiveLocked() error {
 	return nil
 }
 
-// Append frames payload and writes it to the active segment, rotating
-// first if the segment is full. Under SyncAlways the record is on disk
-// when Append returns — this is the call the ingest path makes before the
-// HTTP ack.
-func (w *WAL) Append(payload []byte) error {
-	if len(payload) > MaxRecordBytes {
-		return fmt.Errorf("wal: record %d bytes over cap %d", len(payload), MaxRecordBytes)
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return ErrClosed
-	}
-	need := int64(frameHeaderLen + len(payload))
-	if w.activeBytes > int64(len(segmentMagic)) && w.activeBytes+need > w.opts.SegmentBytes {
-		if err := w.rotateLocked(); err != nil {
-			return err
-		}
-	}
-	w.frame = w.frame[:0]
-	w.frame = binary.LittleEndian.AppendUint32(w.frame, uint32(len(payload)))
-	w.frame = binary.LittleEndian.AppendUint32(w.frame, crc32.Checksum(payload, castagnoli))
-	w.frame = append(w.frame, payload...)
-	if _, err := w.f.Write(w.frame); err != nil {
-		return fmt.Errorf("wal: append: %w", err)
-	}
-	w.activeBytes += need
-	w.appends++
-	w.appendedBytes += uint64(need)
-	switch w.opts.Sync.Mode {
-	case SyncAlways:
-		if err := w.f.Sync(); err != nil {
-			return fmt.Errorf("wal: sync: %w", err)
-		}
-	case SyncInterval:
-		w.dirty = true
-	}
-	return nil
-}
-
 // AppendBatch frames every payload into the active segment under a
 // single lock acquisition, buffering the frames into one write (per
 // rotation-delimited run) and — under SyncAlways — paying one fsync for
-// the whole batch instead of one per record. This is the durability
-// amortization behind the binary batch ingest path: a 64-record batch
-// costs the same number of fsyncs as a 1-record one. Rotation between
-// frames is handled exactly as in Append; counters advance only for
-// frames that reached the file.
+// the whole batch instead of one per record, so the records are on disk
+// when it returns. It is the log's only append call (the ingest path
+// makes it before the HTTP ack): a 64-record batch costs the same number
+// of fsyncs as a 1-record one. A frame that would overflow a non-empty
+// active segment rotates it first; counters advance only for frames that
+// reached the file.
 func (w *WAL) AppendBatch(payloads [][]byte) error {
 	if len(payloads) == 0 {
 		return nil

@@ -41,7 +41,7 @@ func TestWALAppendReplayRoundTrip(t *testing.T) {
 	w := mustOpen(t, Options{Dir: dir, SegmentBytes: 256}) // force several rotations
 	const n = 100
 	for i := 0; i < n; i++ {
-		if err := w.Append(rec(i)); err != nil {
+		if err := w.AppendBatch([][]byte{rec(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -72,7 +72,7 @@ func TestWALReopenWithoutCloseIsACrashImage(t *testing.T) {
 	dir := t.TempDir()
 	w := mustOpen(t, Options{Dir: dir, SegmentBytes: 512})
 	for i := 0; i < 20; i++ {
-		if err := w.Append(rec(i)); err != nil {
+		if err := w.AppendBatch([][]byte{rec(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -98,7 +98,7 @@ func TestWALReplayTornTail(t *testing.T) {
 	w := mustOpen(t, Options{Dir: dir, SegmentBytes: 1 << 20})
 	const n = 8
 	for i := 0; i < n; i++ {
-		if err := w.Append(rec(i)); err != nil {
+		if err := w.AppendBatch([][]byte{rec(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -145,7 +145,7 @@ func TestWALRotateAndCompact(t *testing.T) {
 	dir := t.TempDir()
 	w := mustOpen(t, Options{Dir: dir, SegmentBytes: 1 << 20})
 	for i := 0; i < 10; i++ {
-		if err := w.Append(rec(i)); err != nil {
+		if err := w.AppendBatch([][]byte{rec(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -162,7 +162,7 @@ func TestWALRotateAndCompact(t *testing.T) {
 		t.Fatalf("empty rotate moved the cut line: %d -> %d (%v)", sealedUpTo, again, err)
 	}
 	for i := 10; i < 15; i++ {
-		if err := w.Append(rec(i)); err != nil {
+		if err := w.AppendBatch([][]byte{rec(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -211,7 +211,7 @@ func TestWALSyncPolicies(t *testing.T) {
 	// Interval mode: the background loop flushes without explicit Sync.
 	dir := t.TempDir()
 	w := mustOpen(t, Options{Dir: dir, Sync: SyncPolicy{Mode: SyncInterval, Interval: time.Millisecond}})
-	if err := w.Append(rec(0)); err != nil {
+	if err := w.AppendBatch([][]byte{rec(0)}); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(20 * time.Millisecond)
@@ -221,7 +221,7 @@ func TestWALSyncPolicies(t *testing.T) {
 
 	// Never mode still replays across a reopen (page cache, same machine).
 	w2 := mustOpen(t, Options{Dir: dir, Sync: SyncPolicy{Mode: SyncNever}})
-	if err := w2.Append(rec(1)); err != nil {
+	if err := w2.AppendBatch([][]byte{rec(1)}); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := replayAll(t, w2)
@@ -238,8 +238,8 @@ func TestWALClosedOperations(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
-	if err := w.Append(rec(0)); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Append after Close: %v", err)
+	if err := w.AppendBatch([][]byte{rec(0)}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("AppendBatch after Close: %v", err)
 	}
 	if _, err := w.Rotate(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Rotate after Close: %v", err)
@@ -254,7 +254,7 @@ func TestWALClosedOperations(t *testing.T) {
 
 func TestWALOversizeRecordRejected(t *testing.T) {
 	w := mustOpen(t, Options{Dir: t.TempDir()})
-	if err := w.Append(make([]byte, MaxRecordBytes+1)); err == nil {
+	if err := w.AppendBatch([][]byte{make([]byte, MaxRecordBytes+1)}); err == nil {
 		t.Fatal("oversize record accepted")
 	}
 }
