@@ -220,7 +220,9 @@ func BenchmarkAblationNoPruning(b *testing.B) {
 }
 
 // ablationSamples derives a reusable spatiotemporal training set from the
-// bench world's per-attack features.
+// bench world's DirtJumper series: the previous attack stands in for the
+// component models, and the target-local fields come from a
+// core.ContextTracker that has seen only the attacks before the label.
 func ablationSamples(b *testing.B, env *eval.Env) []core.STSample {
 	b.Helper()
 	ds := env.Dataset
@@ -228,17 +230,21 @@ func ablationSamples(b *testing.B, env *eval.Env) []core.STSample {
 	if len(attacks) < 60 {
 		b.Fatal("not enough attacks for ablation")
 	}
+	var ctx core.ContextTracker
+	ctx.Observe(&attacks[0])
 	samples := make([]core.STSample, 0, len(attacks)-1)
 	for i := 1; i < len(attacks); i++ {
 		prev, cur := &attacks[i-1], &attacks[i]
+		c := ctx.Context()
 		samples = append(samples, core.STSample{
 			F: core.STFeatures{
 				TmpHour:    float64(prev.Hour()),
 				TmpDay:     float64(prev.Day()),
-				PrevHour:   float64(prev.Hour()),
-				PrevDay:    float64(prev.Day()),
-				PrevGapSec: cur.Start.Sub(prev.Start).Seconds(),
-				AvgMag:     float64(prev.Magnitude()),
+				PrevHour:   c.PrevHour,
+				PrevDay:    c.PrevDay,
+				PrevGapSec: c.PrevGapSec,
+				NextDueDay: c.NextDueDay,
+				AvgMag:     c.AvgMag,
 				TargetAS:   float64(cur.TargetAS),
 			},
 			Hour: float64(cur.Hour()),
@@ -246,6 +252,7 @@ func ablationSamples(b *testing.B, env *eval.Env) []core.STSample {
 			Dur:  cur.DurationSec,
 			Mag:  float64(cur.Magnitude()),
 		})
+		ctx.Observe(cur)
 	}
 	return samples
 }

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/trace"
 )
 
 var (
@@ -534,5 +536,56 @@ func TestReport(t *testing.T) {
 	}
 	if strings.Contains(report, "NaN") {
 		t.Error("report contains NaN values")
+	}
+}
+
+// TestLeakGuardCollectSamples pins that a walk-forward row is built before
+// its label is seen: changing the labelled attack's Start, duration or
+// magnitude leaves that attack's own row unchanged.
+func TestLeakGuardCollectSamples(t *testing.T) {
+	if testing.Short() {
+		t.Skip("walks the whole dataset four times")
+	}
+	env := sharedEnv(t)
+	cfg := Figure34Config{}.withDefaults()
+	base, _, err := collectSamples(env, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A sample whose target has history, so its context is not all zeros.
+	k := len(base) / 2
+	for base[k].F.PrevGapSec == 0 {
+		k++
+	}
+	want := base[k]
+	for _, tc := range []struct {
+		name    string
+		perturb func(a *trace.Attack)
+	}{
+		{"start", func(a *trace.Attack) { a.Start = a.Start.Add(97 * time.Minute) }},
+		{"duration", func(a *trace.Attack) { a.DurationSec = 3*a.DurationSec + 1 }},
+		{"magnitude", func(a *trace.Attack) { a.Bots = append(a.Bots[:len(a.Bots):len(a.Bots)], a.Bots...) }},
+	} {
+		attacks := append([]trace.Attack(nil), env.Dataset.Attacks...)
+		tc.perturb(&attacks[want.order])
+		mod := *env
+		mod.Dataset = &trace.Dataset{Attacks: attacks}
+		got, _, err := collectSamples(&mod, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		found := false
+		for _, s := range got {
+			if s.order != want.order {
+				continue
+			}
+			found = true
+			if s.F != want.F {
+				t.Errorf("%s: perturbing attack %d changed its own row:\n got %+v\nwant %+v", tc.name, want.order, s.F, want.F)
+			}
+		}
+		if !found {
+			t.Fatalf("%s: attack %d has no sample after perturbation", tc.name, want.order)
+		}
 	}
 }

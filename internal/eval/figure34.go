@@ -3,7 +3,6 @@ package eval
 import (
 	"errors"
 	"sort"
-	"time"
 
 	"repro/internal/astopo"
 	"repro/internal/core"
@@ -58,18 +57,6 @@ type Figure34Result struct {
 type ctxKey struct {
 	family string
 	ip     astopo.IPv4
-}
-
-// targetState tracks per-victim context during the walk-forward.
-type targetState struct {
-	lastStart time.Time
-	lastHour  float64
-	lastDay   float64
-	magSum    float64
-	magN      int
-	// gapEMA is an exponential moving average of the revisit gap, the
-	// victim-side estimate of the family's per-target cadence.
-	gapEMA float64
 }
 
 // stSample extends core.STSample with bookkeeping for the experiment.
@@ -214,61 +201,30 @@ func collectSamples(env *Env, cfg Figure34Config) ([]stSample, int, error) {
 		}
 	}
 
-	// Target context from the fit window.
-	targets := make(map[ctxKey]*targetState)
-	for i := 0; i < fitEnd; i++ {
-		observeTarget(targets, &ds.Attacks[i])
-	}
-
-	// Walk forward, recording component predictions before observing.
+	// Walk forward: attacks in the fit window only feed their target's
+	// context; after it, each step builds its attack's row before
+	// observing the attack.
+	targets := make(map[ctxKey]*core.ContextTracker)
 	var samples []stSample
-	for i := fitEnd; i < n; i++ {
+	for i := range ds.Attacks {
 		a := &ds.Attacks[i]
-		fm := temporal[a.Family]
-		sm := spatial[a.TargetAS]
-		if fm == nil || sm == nil {
-			observeTarget(targets, a)
+		key := ctxKey{family: a.Family, ip: a.TargetIP}
+		ctx := targets[key]
+		if ctx == nil {
+			ctx = &core.ContextTracker{}
+			targets[key] = ctx
+		}
+		fm, sm := temporal[a.Family], spatial[a.TargetAS]
+		if i < fitEnd || fm == nil || sm == nil {
+			ctx.Observe(a)
 			continue
 		}
-		f := core.STFeatures{
-			TmpHour:     fm.PredictHour(),
-			TmpDay:      fm.PredictDay(),
-			TmpInterval: fm.PredictInterval(),
-			TmpMag:      fm.PredictMagnitude(),
-			SpaHour:     sm.PredictHour(),
-			SpaDay:      sm.PredictDay(),
-			SpaDur:      sm.PredictDuration(),
-			TargetAS:    float64(a.TargetAS),
-		}
-		if ts := targets[ctxKey{family: a.Family, ip: a.TargetIP}]; ts != nil {
-			f.PrevHour = ts.lastHour
-			f.PrevDay = ts.lastDay
-			f.PrevGapSec = a.Start.Sub(ts.lastStart).Seconds()
-			if ts.magN > 0 {
-				f.AvgMag = ts.magSum / float64(ts.magN)
-			}
-			if ts.gapEMA > 0 {
-				due := ts.lastStart.Add(time.Duration(ts.gapEMA * float64(time.Second)))
-				f.NextDueDay = float64(due.Day())
-			} else {
-				f.NextDueDay = ts.lastDay
-			}
-		}
 		samples = append(samples, stSample{
-			STSample: core.STSample{
-				F:    f,
-				Hour: float64(a.Hour()),
-				Day:  float64(a.Day()),
-				Dur:  a.DurationSec,
-				Mag:  float64(a.Magnitude()),
-			},
-			target: a.TargetIP,
-			as:     a.TargetAS,
-			order:  i,
+			STSample: core.WalkStep(fm, sm, ctx, a.TargetAS, a),
+			target:   a.TargetIP,
+			as:       a.TargetAS,
+			order:    i,
 		})
-		fm.Observe(a)
-		sm.Observe(a)
-		observeTarget(targets, a)
 	}
 	return samples, testStart, nil
 }
@@ -284,30 +240,6 @@ func fitGlobalTrees(trainSamples []stSample) *core.Spatiotemporal {
 		return nil
 	}
 	return st
-}
-
-func observeTarget(targets map[ctxKey]*targetState, a *trace.Attack) {
-	key := ctxKey{family: a.Family, ip: a.TargetIP}
-	ts := targets[key]
-	if ts == nil {
-		ts = &targetState{}
-		targets[key] = ts
-	}
-	if !ts.lastStart.IsZero() {
-		gap := a.Start.Sub(ts.lastStart).Seconds()
-		if gap > 0 {
-			if ts.gapEMA == 0 {
-				ts.gapEMA = gap
-			} else {
-				ts.gapEMA = 0.5*ts.gapEMA + 0.5*gap
-			}
-		}
-	}
-	ts.lastStart = a.Start
-	ts.lastHour = float64(a.Hour())
-	ts.lastDay = float64(a.Day())
-	ts.magSum += float64(a.Magnitude())
-	ts.magN++
 }
 
 // assembleFigure34 trains per-target model trees on the pre-test samples

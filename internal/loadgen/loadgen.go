@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/serve/metrics"
 	"repro/internal/trace"
 )
 
@@ -51,9 +50,6 @@ type Config struct {
 	// implements BatchSink (HTTPSink: one request per batch; ServiceSink:
 	// one vectorized IngestBatch). Default 1: scalar Ingest calls.
 	Batch int
-	// Buckets overrides the latency histogram bounds (seconds). Default
-	// LatencyBuckets.
-	Buckets []float64
 }
 
 // workItem pairs a record with its scheduled arrival.
@@ -76,14 +72,7 @@ func Run(cfg Config, next func() *trace.Attack, sink Sink) (*Report, error) {
 	if cfg.Mode == OpenLoop && cfg.Rate <= 0 {
 		return nil, errors.New("loadgen: open loop needs Config.Rate")
 	}
-	buckets := cfg.Buckets
-	if len(buckets) == 0 {
-		buckets = LatencyBuckets
-	}
-
 	rep := &Report{Mode: cfg.Mode.String()}
-	reg := metrics.NewRegistry()
-	rep.Hist = reg.Histogram("loadgen_latency_seconds", "", buckets)
 
 	var (
 		mu       sync.Mutex // serializes next()
@@ -92,7 +81,10 @@ func Run(cfg Config, next func() *trace.Attack, sink Sink) (*Report, error) {
 		dups     atomic.Int64
 		shed     atomic.Int64
 		errCnt   atomic.Int64
-		maxNanos atomic.Int64
+		// Every record is observed once and a run sends at most Records,
+		// so each observation claims its own slot.
+		lats = make([]float64, cfg.Records)
+		nLat atomic.Int64
 	)
 	pull := func() *trace.Attack {
 		mu.Lock()
@@ -100,13 +92,7 @@ func Run(cfg Config, next func() *trace.Attack, sink Sink) (*Report, error) {
 		return next()
 	}
 	observe := func(d time.Duration) {
-		rep.Hist.Observe(d.Seconds())
-		for {
-			cur := maxNanos.Load()
-			if int64(d) <= cur || maxNanos.CompareAndSwap(cur, int64(d)) {
-				return
-			}
-		}
+		lats[nLat.Add(1)-1] = float64(d)
 	}
 	deliver := func(a *trace.Attack, due time.Time) {
 		sent.Add(1)
@@ -258,6 +244,6 @@ func Run(cfg Config, next func() *trace.Attack, sink Sink) (*Report, error) {
 	rep.Dups = dups.Load()
 	rep.Shed = shed.Load()
 	rep.Errors = errCnt.Load()
-	rep.Max = time.Duration(maxNanos.Load())
+	rep.setLatencies(lats[:nLat.Load()])
 	return rep, nil
 }

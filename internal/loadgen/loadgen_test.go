@@ -434,3 +434,41 @@ func TestReportMarshalJSON(t *testing.T) {
 type nullSink struct{}
 
 func (nullSink) Ingest(*trace.Attack) (Result, error) { return Result{Accepted: true}, nil }
+
+// TestReportExactQuantiles pins nearest-rank quantiles over the recorded
+// latencies: with 1..100 ms, p50 is 50 ms and p99 is 99 ms, never above
+// the maximum.
+func TestReportExactQuantiles(t *testing.T) {
+	ns := make([]float64, 100)
+	for i := range ns {
+		ns[len(ns)-1-i] = float64(time.Duration(i+1) * time.Millisecond)
+	}
+	var rep Report
+	rep.setLatencies(ns)
+	for _, c := range []struct {
+		q    float64
+		want time.Duration
+	}{{0.50, 50 * time.Millisecond}, {0.99, 99 * time.Millisecond}, {1, 100 * time.Millisecond}} {
+		if got := rep.Quantile(c.q); got != c.want {
+			t.Errorf("q%g = %v, want %v", c.q, got, c.want)
+		}
+	}
+	if rep.Max != 100*time.Millisecond {
+		t.Errorf("max = %v, want 100ms", rep.Max)
+	}
+	if (&Report{}).Quantile(0.99) != 0 {
+		t.Error("quantile without records is not zero")
+	}
+
+	run, err := Run(Config{Mode: ClosedLoop, Records: 200, Workers: 3},
+		NewGenerator(GenConfig{Targets: 2, Seed: 2}).Next, nullSink{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if run.lat.Len() != 200 {
+		t.Fatalf("%d latencies recorded for 200 records", run.lat.Len())
+	}
+	if p99 := run.Quantile(0.99); p99 > run.Max {
+		t.Fatalf("p99 %v above max %v", p99, run.Max)
+	}
+}

@@ -6,15 +6,8 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/serve/metrics"
+	"repro/internal/stats"
 )
-
-// LatencyBuckets are the report histogram bounds in seconds: 20µs through
-// 2.5s, tight at the bottom where the in-process ingest path lives.
-var LatencyBuckets = []float64{
-	0.00002, 0.00005, 0.0001, 0.00025, 0.0005, 0.001, 0.0025,
-	0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5,
-}
 
 // Report is one run's outcome: outcome counters, achieved rate, and the
 // latency distribution (open loop measures completion minus scheduled
@@ -29,8 +22,15 @@ type Report struct {
 	Errors   int64
 	Elapsed  time.Duration
 
-	Hist *metrics.Histogram // latency histogram, seconds
-	Max  time.Duration      // exact maximum latency
+	Max time.Duration // exact maximum latency
+
+	lat *stats.ECDF // one latency per record, in nanoseconds
+}
+
+// setLatencies installs the run's per-record latencies (nanoseconds).
+func (r *Report) setLatencies(ns []float64) {
+	r.lat = stats.NewECDF(ns)
+	r.Max = r.Quantile(1)
 }
 
 // Throughput returns attempted records per second.
@@ -49,10 +49,14 @@ func (r *Report) ShedRate() float64 {
 	return float64(r.Shed) / float64(r.Sent)
 }
 
-// Quantile returns the latency quantile as a duration (histogram upper
-// bound, the conservative estimate).
+// Quantile returns the exact nearest-rank latency quantile: the smallest
+// recorded latency at or above a q share of the records. Zero without
+// records.
 func (r *Report) Quantile(q float64) time.Duration {
-	return time.Duration(r.Hist.Quantile(q) * float64(time.Second))
+	if r.lat == nil || r.lat.Len() == 0 {
+		return 0
+	}
+	return time.Duration(r.lat.Quantile(q))
 }
 
 // String renders the human report ddosload prints.

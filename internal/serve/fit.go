@@ -11,12 +11,11 @@ import (
 )
 
 // Per-target refit: turn a rolling window of attacks into a fresh
-// TargetModels. The construction mirrors the offline evaluation
-// (eval.collectSamples): the spatiotemporal tree is trained on features
-// produced by *walking forward* prefix-fitted component models, so its
-// training rows have the same semantics as the rows it sees at forecast
-// time (component predictions + frozen target context), then the
-// component models are refitted on the full window for serving.
+// TargetModels. The spatiotemporal tree trains on rows from core.WalkStep,
+// the walk-forward step the offline evaluation (eval.collectSamples) loops
+// over too, and forecasts from core.STRow over the context frozen from the
+// fit window, so training and forecast rows run the same code. The
+// component models are then refitted on the full window for serving.
 
 // fitTarget builds a target's models from its window. The caller provides
 // the fit generation and the all-time ingest total for provenance. Windows
@@ -48,7 +47,7 @@ func fitTarget(as astopo.AS, window []trace.Attack, total uint64, gen uint64, cf
 		Spatial:    sm,
 		ST:         st,
 		Ensemble:   ens,
-		Ctx:        contextFromWindow(fitWin),
+		Ctx:        core.ContextOf(fitWin),
 		Window:     len(window),
 		Total:      total,
 		Generation: gen,
@@ -160,7 +159,7 @@ func fitTargetIncremental(prev *TargetModels, as astopo.AS, window []trace.Attac
 		Spatial:    sm,
 		ST:         prev.ST,       // immutable; re-fit on the next full refit
 		Ensemble:   prev.Ensemble, // immutable; re-fit on the next full refit
-		Ctx:        contextFromWindow(fitWin),
+		Ctx:        core.ContextOf(fitWin),
 		Window:     len(window),
 		Total:      total,
 		Generation: gen,
@@ -201,69 +200,10 @@ func dominantFamily(window []trace.Attack) string {
 	return best
 }
 
-// targetCtx tracks the walk-forward target context while generating
-// spatiotemporal training samples.
-type targetCtx struct {
-	lastStart time.Time
-	lastHour  float64
-	lastDay   float64
-	prevGap   float64
-	magSum    float64
-	magN      int
-	gapSum    float64
-	gapN      int
-}
-
-func (c *targetCtx) observe(a *trace.Attack) {
-	if !c.lastStart.IsZero() {
-		gap := a.Start.Sub(c.lastStart).Seconds()
-		if gap >= 0 {
-			c.prevGap = gap
-			c.gapSum += gap
-			c.gapN++
-		}
-	}
-	c.lastStart = a.Start
-	c.lastHour = float64(a.Hour())
-	c.lastDay = float64(a.Day())
-	c.magSum += float64(a.Magnitude())
-	c.magN++
-}
-
-func (c *targetCtx) features() STContext {
-	ctx := STContext{
-		PrevHour:   c.lastHour,
-		PrevDay:    c.lastDay,
-		PrevGapSec: c.prevGap,
-		NextDueDay: c.lastDay,
-	}
-	if c.magN > 0 {
-		ctx.AvgMag = c.magSum / float64(c.magN)
-	}
-	if c.gapN > 0 && !c.lastStart.IsZero() {
-		meanGap := c.gapSum / float64(c.gapN)
-		due := c.lastStart.Add(time.Duration(meanGap * float64(time.Second)))
-		ctx.NextDueDay = float64(due.Day())
-	}
-	return ctx
-}
-
-// contextFromWindow freezes the forecast-time STContext from the full
-// window tail.
-func contextFromWindow(window []trace.Attack) STContext {
-	var c targetCtx
-	for i := range window {
-		c.observe(&window[i])
-	}
-	return c.features()
-}
-
-// fitSTModels grows the target's model trees by the walk-forward protocol:
-// fit components on the leading stFitFrac of the window, then walk the
-// remainder recording component predictions and target context as features
-// with the realized attack as label. The same walk-forward samples feed the
-// stacked ensemble combiners. Returns nils when the window is too short or
-// any stage fails — the target then serves component forecasts.
+// fitSTModels grows the target's model trees from the walk-forward samples
+// stSamples builds; the same samples feed the stacked ensemble combiners.
+// Returns nils when the window is too short or any stage fails — the
+// target then serves component forecasts.
 const (
 	stFitFrac    = 0.6
 	stMinWindow  = 24
@@ -274,49 +214,7 @@ func fitSTModels(as astopo.AS, window []trace.Attack, cfg Config) (*core.Spatiot
 	if len(window) < stMinWindow || len(window) < cfg.MinSTWindow {
 		return nil, nil
 	}
-	fitEnd := int(stFitFrac * float64(len(window)))
-	prefix := window[:fitEnd]
-	tm, err := core.FitTemporal(dominantFamily(prefix), prefix, cfg.Temporal)
-	if err != nil {
-		return nil, nil
-	}
-	sm, err := core.FitSpatial(as, prefix, spatialCfg(as, cfg))
-	if err != nil {
-		return nil, nil
-	}
-	var ctx targetCtx
-	for i := range prefix {
-		ctx.observe(&prefix[i])
-	}
-	samples := make([]core.STSample, 0, len(window)-fitEnd)
-	for i := fitEnd; i < len(window); i++ {
-		a := &window[i]
-		fctx := ctx.features()
-		samples = append(samples, core.STSample{
-			F: core.STFeatures{
-				TmpHour:     tm.PredictHour(),
-				TmpDay:      tm.PredictDay(),
-				TmpInterval: tm.PredictInterval(),
-				TmpMag:      tm.PredictMagnitude(),
-				SpaHour:     sm.PredictHour(),
-				SpaDay:      sm.PredictDay(),
-				SpaDur:      sm.PredictDuration(),
-				PrevHour:    fctx.PrevHour,
-				PrevDay:     fctx.PrevDay,
-				PrevGapSec:  a.Start.Sub(ctx.lastStart).Seconds(),
-				NextDueDay:  fctx.NextDueDay,
-				AvgMag:      fctx.AvgMag,
-				TargetAS:    float64(as),
-			},
-			Hour: float64(a.Hour()),
-			Day:  float64(a.Day()),
-			Dur:  a.DurationSec,
-			Mag:  float64(a.Magnitude()),
-		})
-		tm.Observe(a)
-		sm.Observe(a)
-		ctx.observe(a)
-	}
+	samples := stSamples(as, window, cfg)
 	if len(samples) < stMinSamples {
 		return nil, nil
 	}
@@ -325,4 +223,29 @@ func fitSTModels(as astopo.AS, window []trace.Attack, cfg Config) (*core.Spatiot
 		return nil, nil
 	}
 	return st, fitEnsemble(samples, cfg)
+}
+
+// stSamples fits throwaway component models on the leading stFitFrac of
+// the window and walks the remainder with core.WalkStep, one labelled row
+// per attack. Returns nil when a component fit fails.
+func stSamples(as astopo.AS, window []trace.Attack, cfg Config) []core.STSample {
+	fitEnd := int(stFitFrac * float64(len(window)))
+	prefix := window[:fitEnd]
+	tm, err := core.FitTemporal(dominantFamily(prefix), prefix, cfg.Temporal)
+	if err != nil {
+		return nil
+	}
+	sm, err := core.FitSpatial(as, prefix, spatialCfg(as, cfg))
+	if err != nil {
+		return nil
+	}
+	var ctx core.ContextTracker
+	for i := range prefix {
+		ctx.Observe(&prefix[i])
+	}
+	samples := make([]core.STSample, 0, len(window)-fitEnd)
+	for i := fitEnd; i < len(window); i++ {
+		samples = append(samples, core.WalkStep(tm, sm, &ctx, as, &window[i]))
+	}
+	return samples
 }

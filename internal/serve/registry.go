@@ -51,11 +51,11 @@ type TargetModels struct {
 	// refit, verdict filtering) and the champion composition it serves.
 	Prov Provenance `json:"prov"`
 
-	Ctx        STContext `json:"ctx"`
-	Window     int       `json:"window"`     // records the fit consumed
-	Total      uint64    `json:"total"`      // all-time ingested at fit time
-	Generation uint64    `json:"generation"` // monotone fit counter
-	FittedAt   time.Time `json:"fitted_at"`
+	Ctx        core.STContext `json:"ctx"`
+	Window     int            `json:"window"`     // records the fit consumed
+	Total      uint64         `json:"total"`      // all-time ingested at fit time
+	Generation uint64         `json:"generation"` // monotone fit counter
+	FittedAt   time.Time      `json:"fitted_at"`
 
 	// LastStart is the newest record Start the fit window contained — the
 	// out-of-order fence for incremental refits: only records sorting
@@ -115,21 +115,7 @@ func (tm *TargetModels) computePreds() scorePreds {
 	}
 	p.STMag, p.STHour, p.STDay, p.STDur = max(0, p.TmpMag), p.TmpHour, p.TmpDay, max(0, p.SpaDur)
 	if tm.ST != nil {
-		f := core.STFeatures{
-			TmpHour:     p.TmpHour,
-			TmpDay:      p.TmpDay,
-			TmpInterval: t.PredictInterval(),
-			TmpMag:      p.TmpMag,
-			SpaHour:     p.SpaHour,
-			SpaDay:      p.SpaDay,
-			SpaDur:      p.SpaDur,
-			PrevHour:    tm.Ctx.PrevHour,
-			PrevDay:     tm.Ctx.PrevDay,
-			PrevGapSec:  tm.Ctx.PrevGapSec,
-			NextDueDay:  tm.Ctx.NextDueDay,
-			AvgMag:      tm.Ctx.AvgMag,
-			TargetAS:    float64(tm.AS),
-		}
+		f := core.STRow(t, s, tm.Ctx, tm.AS)
 		p.STHour = tm.ST.PredictHour(&f)
 		p.STDay = tm.ST.PredictDay(&f)
 		p.STDur = max(0, tm.ST.PredictDuration(&f))
@@ -194,16 +180,6 @@ func (tm *TargetModels) served() servedPreds {
 		Hour:        pick(champOr(c.Timestamp), p.TmpHour, p.SpaHour, p.STHour, p.EnsHour),
 		Day:         pick(champOr(c.Timestamp), p.TmpDay, p.SpaDay, p.STDay, p.EnsDay),
 	}
-}
-
-// STContext is the target-local feature context frozen at fit time (the
-// PrevHour/PrevDay/... inputs of core.STFeatures).
-type STContext struct {
-	PrevHour   float64 `json:"prev_hour"`
-	PrevDay    float64 `json:"prev_day"`
-	PrevGapSec float64 `json:"prev_gap_sec"`
-	NextDueDay float64 `json:"next_due_day"`
-	AvgMag     float64 `json:"avg_mag"`
 }
 
 // Forecast is one target's next-attack prediction plus provenance.

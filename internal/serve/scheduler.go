@@ -196,14 +196,20 @@ func (s *scheduler) refitBatch(batch []astopo.AS) {
 	root := s.tracer.Start(StageRefit)
 	root.SetAttr("targets", strconv.Itoa(len(batch)))
 
+	// Generations are drawn in batch order before the fan-out, so the
+	// labels a batch gets do not depend on worker scheduling.
+	gens := make([]uint64, len(batch))
+	for i := range gens {
+		gens[i] = s.reg.NextGeneration()
+	}
 	fitted := make([]*TargetModels, len(batch))
-	consumed := make([]int, len(batch))
+	totals := make([]uint64, len(batch))
 	_ = parallel.ForEach(len(batch), s.cfg.RefitWorkers, func(i int) error {
 		span := root.Child(StageFit)
 		span.SetAttr("as", strconv.FormatUint(uint64(batch[i]), 10))
 		start := time.Now()
 		window, total := s.store.Window(batch[i])
-		tm, err := s.fit(batch[i], window, total, s.reg.NextGeneration(), s.cfg)
+		tm, err := s.fit(batch[i], window, total, gens[i], s.cfg)
 		if err != nil {
 			s.tel.refitErrors.Inc()
 			span.SetAttr("outcome", "skipped: "+err.Error())
@@ -211,7 +217,7 @@ func (s *scheduler) refitBatch(batch []astopo.AS) {
 			return nil // not-ready targets are routine, not batch failures
 		}
 		fitted[i] = tm
-		consumed[i] = len(window)
+		totals[i] = total
 		s.tel.refitSeconds.Observe(time.Since(start).Seconds())
 		span.SetAttr("outcome", "published")
 		span.SetAttr("generation", strconv.FormatUint(tm.Generation, 10))
@@ -227,7 +233,7 @@ func (s *scheduler) refitBatch(batch []astopo.AS) {
 		if tm == nil {
 			continue
 		}
-		s.store.MarkRefitted(as, consumed[i])
+		s.store.MarkRefitted(as, totals[i])
 		s.tel.refitsDone.Inc()
 		published++
 		if tm.Prov.Refit == refitIncremental {

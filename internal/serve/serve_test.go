@@ -137,12 +137,14 @@ func TestStoreMarkRefitted(t *testing.T) {
 	if since != 5 {
 		t.Fatalf("sinceRefit %d, want 5", since)
 	}
+	// A refit that read the window at total 3 leaves the 2 later records
+	// counting.
 	s.MarkRefitted(64512, 3)
 	more := mkAttacks(64512, 100, 1)
 	more[0].Start = attacks[4].Start.Add(time.Hour)
 	since, _, _ = s.Ingest(&more[0])
 	if since != 3 {
-		t.Fatalf("sinceRefit after partial mark %d, want 3 (5-3+1)", since)
+		t.Fatalf("sinceRefit after a mark at total 3 = %d, want 3 (5-3+1)", since)
 	}
 }
 

@@ -51,7 +51,7 @@ type storeShard struct {
 type targetState struct {
 	attacks    []trace.Attack // rolling window, chronological
 	total      uint64         // all-time ingested (after dedup)
-	sinceRefit int            // records since the last completed refit
+	sinceRefit int            // records ingested after the last completed refit's window read
 
 	magSum  float64 // sum of magnitudes over the current window
 	durSum  float64 // sum of durations over the current window
@@ -315,17 +315,19 @@ func (s *Store) Window(as astopo.AS) ([]trace.Attack, uint64) {
 	return out, ts.total
 }
 
-// MarkRefitted resets the target's since-refit counter by the number of
-// records the refit consumed (records ingested while the refit ran keep
-// counting toward the next one).
-func (s *Store) MarkRefitted(as astopo.AS, consumed int) {
+// MarkRefitted records a refit of the window read together with the
+// all-time ingest count total (Window's second result): the target's
+// since-refit counter becomes the number of records ingested after that
+// read, so records that arrived while the refit ran keep counting toward
+// the next one.
+func (s *Store) MarkRefitted(as astopo.AS, total uint64) {
 	sh := s.shardFor(as)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if ts := sh.targets[as]; ts != nil {
-		ts.sinceRefit -= consumed
-		if ts.sinceRefit < 0 {
-			ts.sinceRefit = 0
+		ts.sinceRefit = 0
+		if ts.total > total {
+			ts.sinceRefit = int(ts.total - total)
 		}
 	}
 }

@@ -176,8 +176,9 @@ func TestStoreWindowEvictsOldest(t *testing.T) {
 }
 
 // TestStoreRefitCounters pins the sinceRefit bookkeeping the scheduler
-// relies on: MarkRefitted subtracts what the refit consumed and clamps at
-// zero, so records ingested mid-refit still count toward the next one.
+// relies on: MarkRefitted takes the all-time total read with the refit's
+// window and leaves sinceRefit at the number of records ingested after
+// that read, so records ingested mid-refit still count toward the next one.
 func TestStoreRefitCounters(t *testing.T) {
 	st := NewStore(2, 16)
 	as := astopo.AS(64998)
@@ -189,20 +190,32 @@ func TestStoreRefitCounters(t *testing.T) {
 	if since != 5 {
 		t.Fatalf("sinceRefit %d after 5 ingests, want 5", since)
 	}
-	st.MarkRefitted(as, 3)
-	r := propRecord(as, 5)
+	_, read := st.Window(as)
+	for i := 5; i < 7; i++ { // two records arrive while the refit runs
+		r := propRecord(as, i)
+		st.Ingest(&r)
+	}
+	st.MarkRefitted(as, read)
+	r := propRecord(as, 7)
 	since, _, _ = st.Ingest(&r)
 	if since != 3 {
-		t.Fatalf("sinceRefit %d after consuming 3, want 3", since)
+		t.Fatalf("sinceRefit %d after a refit that read 5 of 7, then 1 more, want 3", since)
 	}
-	st.MarkRefitted(as, 100) // over-consume clamps at zero
-	r = propRecord(as, 6)
+	_, read = st.Window(as)
+	st.MarkRefitted(as, read)
+	r = propRecord(as, 8)
+	since, _, _ = st.Ingest(&r)
+	if since != 1 {
+		t.Fatalf("sinceRefit %d after a refit that read everything, then 1 more, want 1", since)
+	}
+	st.MarkRefitted(as, 100) // a total beyond the target's clamps at zero
+	r = propRecord(as, 9)
 	since, _, _ = st.Ingest(&r)
 	if since != 1 {
 		t.Fatalf("sinceRefit %d after clamp, want 1", since)
 	}
 	st.MarkRefitted(astopo.AS(1), 1) // unknown target is a no-op
-	if _, total := st.Window(as); total != 7 {
-		t.Fatalf("total %d, want 7", total)
+	if _, total := st.Window(as); total != 10 {
+		t.Fatalf("total %d, want 10", total)
 	}
 }

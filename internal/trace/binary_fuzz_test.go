@@ -38,12 +38,12 @@ func FuzzBatchDecoder(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("ddosbat1"))
 	f.Add(valid)
-	f.Add(valid[:len(valid)-3])                         // torn payload
-	f.Add(valid[:len(batchMagic)+3])                    // torn frame header
-	f.Add(append(append([]byte{}, valid...), 0x01))     // trailing garbage
-	f.Add(append(append([]byte{}, valid...), valid...)) // concatenated batches
+	f.Add(valid[:len(valid)-3])                               // torn payload
+	f.Add(valid[:len(batchMagic)+3])                          // torn frame header
+	f.Add(append(append([]byte{}, valid...), 0x01))           // trailing garbage
+	f.Add(append(append([]byte{}, valid...), valid...))       // concatenated batches
 	f.Add([]byte("ddosbat1\xff\xff\xff\xff\x00\x00\x00\x00")) // hostile length
-	f.Add([]byte(`[{"id":1}]`))                         // JSON mislabeled as batch
+	f.Add([]byte(`[{"id":1}]`))                               // JSON mislabeled as batch
 	bitflip := bytes.Clone(valid)
 	bitflip[len(bitflip)-1] ^= 0x40
 	f.Add(bitflip)

@@ -28,10 +28,10 @@ func FuzzScanSegment(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(append([]byte{}, segmentMagic...))
 	f.Add(valid)
-	f.Add(valid[:len(valid)-3])                        // torn payload
-	f.Add(valid[:len(segmentMagic)+3])                 // torn frame header
-	f.Add(append(append([]byte{}, valid...), 0x01))    // trailing garbage byte
-	f.Add(append(append([]byte{}, valid...), valid...)) // concatenated segments
+	f.Add(valid[:len(valid)-3])                               // torn payload
+	f.Add(valid[:len(segmentMagic)+3])                        // torn frame header
+	f.Add(append(append([]byte{}, valid...), 0x01))           // trailing garbage byte
+	f.Add(append(append([]byte{}, valid...), valid...))       // concatenated segments
 	f.Add([]byte("ddoswal1\xff\xff\xff\xff\x00\x00\x00\x00")) // hostile length
 	f.Add([]byte("notmagic" + "rest"))
 	bitflip := append([]byte{}, valid...)
