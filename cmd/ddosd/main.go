@@ -32,7 +32,8 @@
 //	                           Content-Type application/x-ddos-batch posts
 //	                           binary batch frames — see DESIGN.md §11)
 //	GET  /forecast?target=AS   next-attack forecast for the target network
-//	GET  /healthz              liveness + backlog summary
+//	GET  /healthz              liveness + backlog summary; 503 once a
+//	                           WAL fsync has failed
 //	GET  /metrics              Prometheus text metrics
 //	GET  /accuracy             windowed online forecast accuracy per model
 //	GET  /alerts               streaming-detector counters + recent alerts

@@ -41,6 +41,9 @@ type Model struct {
 	e    []float64 // residual history aligned with w (presample entries are 0)
 	orig []float64 // original-scale history (for integration seeds)
 
+	// trimmed counts the original-scale values FoldIn dropped from orig.
+	trimmed int
+
 	rss float64
 	n   int // observations used in the estimation regression
 }
@@ -337,7 +340,7 @@ func (m *Model) Update(x float64) {
 // currently holds: the fitted series plus every Update since. Serving-layer
 // registries use it to report model staleness without reaching into the
 // internal history.
-func (m *Model) Observations() int { return len(m.orig) }
+func (m *Model) Observations() int { return m.trimmed + len(m.orig) }
 
 // AIC returns the Akaike information criterion of the fitted model.
 func (m *Model) AIC() float64 {

@@ -12,9 +12,8 @@ import (
 var ErrDrift = errors.New("arima: folded residuals drifted past threshold")
 
 // foldStateCap bounds the walk-forward state an incrementally maintained
-// model accumulates across generations. Forecasting needs only the last
-// max(P,Q,D)+1 values; the cap mirrors the persistence tail so a model that
-// lives through many fold-ins behaves like one reloaded from a snapshot.
+// model keeps even when it was fitted on a longer series. Forecasting
+// needs only the last max(P,Q,D)+1 values.
 const foldStateCap = 2 * maxPersistedState
 
 // Clone returns a deep copy of the model: coefficient vectors and
@@ -43,11 +42,19 @@ func (m *Model) Clone() *Model {
 // stopped describing the process and ErrDrift is returned — the model state
 // still holds the folded values, but the caller should schedule a full
 // refit. A maxRatio <= 0 disables the diagnostic.
+//
+// Afterwards the model holds no more state than before the call (at most
+// foldStateCap values), in exactly sized slices: a model that lives
+// through many generations of fold-ins keeps its fitted length, plus D
+// original-scale values, and forecasts exactly as the untrimmed walk
+// would.
 func (m *Model) FoldIn(xs []float64, maxRatio float64) error {
 	if len(xs) == 0 {
 		return nil
 	}
-	n0 := len(m.e)
+	n0, nOrig := len(m.e), len(m.orig)
+	keep := min(n0, foldStateCap)
+	keepOrig := min(nOrig, keep+m.D)
 	for _, x := range xs {
 		m.Update(x)
 	}
@@ -55,12 +62,10 @@ func (m *Model) FoldIn(xs []float64, maxRatio float64) error {
 	// trim below can swallow them — the largest fold-ins are exactly the
 	// ones most likely to drift.
 	err := m.foldDrift(m.e[n0:], maxRatio)
-	// Bound state growth across many generations of fold-ins.
-	if len(m.w) > foldStateCap {
-		m.w = tail(m.w, maxPersistedState)
-		m.e = tail(m.e, maxPersistedState)
-		m.orig = tail(m.orig, maxPersistedState)
-	}
+	m.trimmed += len(m.orig) - keepOrig
+	m.w = tail(m.w, keep)
+	m.e = tail(m.e, keep)
+	m.orig = tail(m.orig, keepOrig)
 	return err
 }
 

@@ -146,3 +146,60 @@ func TestIncrementalFoldInBoundsState(t *testing.T) {
 		t.Fatalf("forecast after trims: %v, %v", f, err)
 	}
 }
+
+// TestFoldInStateHoldsFitLength folds many tails into a chain of clones,
+// as the serving layer's incremental generations do, and checks that each
+// generation holds exactly its fitted state (plus D original-scale values)
+// in exactly sized slices, while forecasting bit-identically to a model
+// that walked the same values with untrimmed Updates.
+func TestFoldInStateHoldsFitLength(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	xs := make([]float64, 96+40*6)
+	level := 50.0
+	for i := range xs {
+		level += 0.3 + rng.NormFloat64()
+		xs[i] = level + 2*rng.NormFloat64()
+	}
+	for _, order := range [][3]int{{1, 0, 0}, {0, 0, 1}, {1, 1, 1}, {2, 1, 0}} {
+		p, d, q := order[0], order[1], order[2]
+		fit, err := Fit(xs[:96], p, d, q)
+		if err != nil {
+			t.Fatalf("ARIMA%v: Fit: %v", order, err)
+		}
+		held := len(fit.w)
+		walk := fit.Clone()
+		gen := fit
+		for i := 0; i < 40; i++ {
+			folded := xs[96+6*i : 96+6*(i+1)]
+			next := gen.Clone()
+			if err := next.FoldIn(folded, 0); err != nil {
+				t.Fatalf("ARIMA%v: FoldIn %d: %v", order, i, err)
+			}
+			for _, x := range folded {
+				walk.Update(x)
+			}
+			gen = next
+			if len(gen.w) != held || cap(gen.w) != held || len(gen.e) != held || cap(gen.e) != held ||
+				len(gen.orig) != held+d || cap(gen.orig) != held+d {
+				t.Fatalf("ARIMA%v fold %d: state w %d/%d e %d/%d orig %d/%d, want %d, %d and %d",
+					order, i, len(gen.w), cap(gen.w), len(gen.e), cap(gen.e), len(gen.orig), cap(gen.orig), held, held, held+d)
+			}
+			if got, want := gen.Observations(), walk.Observations(); got != want {
+				t.Fatalf("ARIMA%v fold %d: Observations %d, want %d", order, i, got, want)
+			}
+			got, err := gen.Forecast(5)
+			if err != nil {
+				t.Fatalf("ARIMA%v fold %d: Forecast: %v", order, i, err)
+			}
+			want, err := walk.Forecast(5)
+			if err != nil {
+				t.Fatalf("ARIMA%v fold %d: walk Forecast: %v", order, i, err)
+			}
+			for h := range want {
+				if got[h] != want[h] {
+					t.Fatalf("ARIMA%v fold %d: step %d forecast %v, untrimmed walk %v", order, i, h+1, got[h], want[h])
+				}
+			}
+		}
+	}
+}

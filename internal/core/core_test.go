@@ -1,12 +1,15 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"math/rand/v2"
 	"testing"
 	"time"
 
 	"repro/internal/astopo"
+	"repro/internal/nn"
 	"repro/internal/trace"
 )
 
@@ -205,7 +208,7 @@ func TestFitTemporalShortFallsBackToMean(t *testing.T) {
 
 func TestFitSpatialAndPredict(t *testing.T) {
 	attacks := mkTestAttacks(120, "F", 13)
-	m, err := FitSpatial(7, attacks, SpatialConfig{Seed: 5})
+	m, err := FitSpatial(7, attacks, SpatialConfig{Seed: 5}, SpatialTopology{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,8 +230,49 @@ func TestFitSpatialAndPredict(t *testing.T) {
 	}
 }
 
+// TestSpatialTopologyCarriedMatchesGrid: fitting with the topology the
+// grid chose trains the same networks as the grid's final fit, so a
+// carried topology reproduces the searched model byte for byte; any other
+// topology does not.
+func TestSpatialTopologyCarriedMatchesGrid(t *testing.T) {
+	attacks := mkTestAttacks(80, "F", 13)
+	cfg := SpatialConfig{Delays: []int{2, 3}, Hidden: []int{3, 5}, Seed: 5, Train: nn.TrainConfig{Epochs: 30}}
+	grid, err := FitSpatial(7, attacks, cfg, SpatialTopology{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo := grid.Topology()
+	for _, s := range []Topology{topo.Duration, topo.Hour, topo.Day} {
+		if s == (Topology{}) {
+			t.Fatalf("grid fit %+v left a series on its mean", topo)
+		}
+	}
+	carried, err := FitSpatial(7, attacks, cfg, topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gridJSON, _ := json.Marshal(grid)
+	carriedJSON, _ := json.Marshal(carried)
+	if !bytes.Equal(gridJSON, carriedJSON) {
+		t.Fatalf("carried fit differs from the grid fit:\ngrid    %s\ncarried %s", gridJSON, carriedJSON)
+	}
+	other := topo
+	other.Hour = Topology{Delays: 4, Hidden: 2}
+	moved, err := FitSpatial(7, attacks, cfg, other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := moved.Topology(); got != other {
+		t.Fatalf("fit with topology %+v reports %+v", other, got)
+	}
+	movedJSON, _ := json.Marshal(moved)
+	if bytes.Equal(gridJSON, movedJSON) {
+		t.Fatal("a different topology fitted the same model")
+	}
+}
+
 func TestFitSpatialTooShort(t *testing.T) {
-	if _, err := FitSpatial(7, nil, SpatialConfig{}); err == nil {
+	if _, err := FitSpatial(7, nil, SpatialConfig{}, SpatialTopology{}); err == nil {
 		t.Error("no attacks should error")
 	}
 }

@@ -43,6 +43,20 @@ func (c SpatialConfig) withDefaults() SpatialConfig {
 	return c
 }
 
+// Topology is one NAR series' network shape: its number of delays and
+// hidden nodes. The zero value means "not chosen yet": FitSpatial runs the
+// delays×hidden grid search for that series.
+type Topology struct {
+	Delays int
+	Hidden int
+}
+
+// SpatialTopology holds one Topology per spatial series. The zero value
+// grid-searches every series, which is what the offline evaluation does.
+type SpatialTopology struct {
+	Duration, Hour, Day Topology
+}
+
 // narModel is a NAR with a mean fallback for short series.
 type narModel struct {
 	m    *nn.NAR
@@ -50,14 +64,34 @@ type narModel struct {
 	n    int
 }
 
-func fitNARSeries(xs []float64, cfg SpatialConfig, seedOffset uint64) *narModel {
+// fitNARSeries fits one series: with a zero topology it grid-searches, and
+// with a given one it trains that single network with the seed and call
+// the grid's final fit would use, so a carried topology equal to the
+// grid's choice yields the same model.
+func fitNARSeries(xs []float64, cfg SpatialConfig, topo Topology, seedOffset uint64) *narModel {
 	nm := &narModel{mean: stats.Mean(xs), n: len(xs)}
-	if len(xs) >= 12 {
-		if m, err := nn.GridSearchNAR(xs, cfg.Delays, cfg.Hidden, cfg.Seed+seedOffset, cfg.Train); err == nil {
-			nm.m = m
-		}
+	if len(xs) < 12 {
+		return nm
+	}
+	var m *nn.NAR
+	var err error
+	if topo == (Topology{}) {
+		m, err = nn.GridSearchNAR(xs, cfg.Delays, cfg.Hidden, cfg.Seed+seedOffset, cfg.Train)
+	} else {
+		m, err = nn.FitNAR(xs, nn.NARConfig{Delays: topo.Delays, Hidden: topo.Hidden, Seed: cfg.Seed + seedOffset, Train: cfg.Train})
+	}
+	if err == nil {
+		nm.m = m
 	}
 	return nm
+}
+
+// topology reports the series' network shape, zero for the mean fallback.
+func (nm *narModel) topology() Topology {
+	if nm == nil || nm.m == nil {
+		return Topology{}
+	}
+	return Topology{Delays: nm.m.Delays, Hidden: nm.m.HiddenNodes()}
 }
 
 func (nm *narModel) predict() float64 {
@@ -82,8 +116,9 @@ func (nm *narModel) update(x float64) {
 }
 
 // FitSpatial estimates the spatial model on the chronological attacks
-// targeting one AS.
-func FitSpatial(as astopo.AS, attacks []trace.Attack, cfg SpatialConfig) (*Spatial, error) {
+// targeting one AS. Each series grid-searches its topology when topo leaves
+// it zero and trains one network with the given topology otherwise.
+func FitSpatial(as astopo.AS, attacks []trace.Attack, cfg SpatialConfig, topo SpatialTopology) (*Spatial, error) {
 	if len(attacks) < 3 {
 		return nil, errors.New("core: spatial model needs at least 3 attacks")
 	}
@@ -98,10 +133,20 @@ func FitSpatial(as astopo.AS, attacks []trace.Attack, cfg SpatialConfig) (*Spati
 	}
 	return &Spatial{
 		AS:       as,
-		duration: fitNARSeries(durs, cfg, 1),
-		hour:     fitNARSeries(hours, cfg, 2),
-		day:      fitNARSeries(days, cfg, 3),
+		duration: fitNARSeries(durs, cfg, topo.Duration, 1),
+		hour:     fitNARSeries(hours, cfg, topo.Hour, 2),
+		day:      fitNARSeries(days, cfg, topo.Day, 3),
 	}, nil
+}
+
+// Topology returns each series' fitted network shape; a series that fell
+// back to its mean reports a zero Topology.
+func (s *Spatial) Topology() SpatialTopology {
+	return SpatialTopology{
+		Duration: s.duration.topology(),
+		Hour:     s.hour.topology(),
+		Day:      s.day.topology(),
+	}
 }
 
 // PredictDuration forecasts the next attack's duration in seconds (Eq. 6),

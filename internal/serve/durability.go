@@ -114,6 +114,15 @@ func (s *Service) WALStats() (wal.Stats, bool) {
 	return w.Stats(), true
 }
 
+// walErr returns the error that poisoned the attached WAL, nil while it
+// is healthy or when none is attached.
+func (s *Service) walErr() error {
+	if w := s.walRef.Load(); w != nil {
+		return w.Err()
+	}
+	return nil
+}
+
 // appendWALBatch is the WAL append site: a batch of pre-encoded frames
 // in one wal.AppendBatch call, so one log lock and one fsync. Called
 // under walMu.RLock from ingestBatch.
@@ -136,6 +145,11 @@ func (s *Service) updateWALGauges(w *wal.WAL) {
 	s.tel.walSegments.Set(int64(st.TotalSegments()))
 	s.tel.walActiveBytes.Set(st.ActiveBytes)
 	s.tel.walDiskBytes.Set(st.DiskBytes())
+	var failed int64
+	if st.Failed {
+		failed = 1
+	}
+	s.tel.walFailed.Set(failed)
 }
 
 // refreshWALGauges is the registry's scrape hook: the disk gauges track

@@ -9,6 +9,8 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -282,6 +284,75 @@ func TestIngestWALFailureMapsTo500(t *testing.T) {
 	}
 	if res := decodeBody[IngestResult](t, resp); res.Duplicates != 2 || res.Ingested != 0 {
 		t.Fatalf("retry = %+v, want 2 duplicates", res)
+	}
+}
+
+// TestWALPoisonAnswers500And503: once an fsync of the attached WAL
+// fails, no ingest on either wire is acked (500, ErrNotDurable) even
+// after the device recovers, /healthz answers 503, and the
+// ddosd_wal_failed gauge reads 1.
+func TestWALPoisonAnswers500And503(t *testing.T) {
+	svc := New(testConfig())
+	defer svc.Close()
+	w := openWAL(t, t.TempDir(), 0) // SyncAlways: every ingest fsyncs
+	var fail atomic.Bool
+	w.SetSyncFunc(func(f *os.File) error {
+		if fail.Load() {
+			return syscall.EIO
+		}
+		return f.Sync()
+	})
+	svc.AttachWAL(w, nil)
+	defer svc.DetachWAL()
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+	healthz := func() int {
+		resp, err := http.Get(srv.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	attacks := mkAttacks(64512, 0, 6)
+	if resp := postAttacks(t, srv.URL, attacks[:1]); resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthy ingest: status %d", resp.StatusCode)
+	}
+	if code := healthz(); code != http.StatusOK {
+		t.Fatalf("healthy /healthz: status %d", code)
+	}
+	fail.Store(true)
+	if resp := postAttacks(t, srv.URL, attacks[1:2]); resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("ingest with a failing fsync: status %d, want 500", resp.StatusCode)
+	}
+	fail.Store(false) // the device recovers; the WAL must stay poisoned
+	for _, tc := range []struct {
+		wire string
+		post func() *http.Response
+	}{
+		{"json", func() *http.Response { return postAttacks(t, srv.URL, attacks[2:4]) }},
+		{"binary", func() *http.Response { return postBinary(t, srv.URL, encodeBinaryBatch(t, attacks[4:6])) }},
+	} {
+		resp := tc.post()
+		if resp.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("%s ingest after recovery: status %d, want 500", tc.wire, resp.StatusCode)
+		}
+		if res := decodeBody[IngestResult](t, resp); !strings.Contains(res.Error, "no longer durable") {
+			t.Fatalf("%s ingest after recovery: body %+v does not name the poisoned WAL", tc.wire, res)
+		}
+	}
+	resp, err := http.Get(srv.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h := decodeBody[Health](t, resp); resp.StatusCode != http.StatusServiceUnavailable || h.Status != "wal_failed" || h.WALError == "" {
+		t.Fatalf("/healthz of a poisoned WAL: status %d body %+v, want 503 wal_failed", resp.StatusCode, h)
+	}
+	var sb strings.Builder
+	svc.MetricsRegistry().WriteText(&sb)
+	if !strings.Contains(sb.String(), "\nddosd_wal_failed 1\n") {
+		t.Fatalf("ddosd_wal_failed does not read 1:\n%s", grepLines(sb.String(), "ddosd_wal_failed"))
 	}
 }
 

@@ -17,26 +17,44 @@ import (
 // fit window, so training and forecast rows run the same code. The
 // component models are then refitted on the full window for serving.
 
-// fitTarget builds a target's models from its window. The caller provides
-// the fit generation and the all-time ingest total for provenance. Windows
+// fitTarget builds a target's models from its window. prev is the target's
+// published generation (nil before its first fit); it supplies the NAR
+// topology a carry refit trains with (searchDue). The caller provides the
+// fit generation and the all-time ingest total for provenance. Windows
 // shorter than cfg.MinWindow return an error (the target is not ready).
-func fitTarget(as astopo.AS, window []trace.Attack, total uint64, gen uint64, cfg Config) (*TargetModels, error) {
+func fitTarget(prev *TargetModels, as astopo.AS, window []trace.Attack, total uint64, gen uint64, cfg Config) (*TargetModels, error) {
 	if len(window) < cfg.MinWindow {
 		return nil, fmt.Errorf("serve: AS%d window %d below minimum %d", as, len(window), cfg.MinWindow)
 	}
 	fitWin, filtered := filterVerdicts(window, cfg)
 	family := dominantFamily(fitWin)
 
+	// A search refit leaves the topology zero, so the NAR grid runs; a
+	// carry refit trains the previous generation's topology.
+	var topo core.SpatialTopology
+	prov := Provenance{Refit: refitFull, FilteredRecords: filtered, SearchWindow: len(fitWin)}
+	if !searchDue(prev, len(fitWin)) {
+		topo = prev.Spatial.Topology()
+		prov.SearchWindow = prev.Prov.SearchWindow
+		prov.FullRefitsSinceSearch = prev.Prov.FullRefitsSinceSearch + 1
+	}
+
 	// Spatiotemporal stage first: it fits throwaway prefix models, and a
 	// failure here only disables the tree (and its stacked ensemble),
-	// never the whole target.
-	st, ens := fitSTModels(as, fitWin, cfg)
+	// never the whole target. Its prefix spatial fit runs the grid for
+	// every series topo leaves zero, and the window fit below reuses the
+	// prefix's choice, so the topology never sees the records the walk
+	// labels.
+	st, ens, prefixTopo := fitSTModels(as, fitWin, topo, cfg)
+	if prefixTopo != (core.SpatialTopology{}) {
+		topo = prefixTopo
+	}
 
 	tm, err := core.FitTemporal(family, fitWin, cfg.Temporal)
 	if err != nil {
 		return nil, fmt.Errorf("serve: AS%d temporal: %w", as, err)
 	}
-	sm, err := core.FitSpatial(as, fitWin, spatialCfg(as, cfg))
+	sm, err := core.FitSpatial(as, fitWin, spatialCfg(as, cfg), topo)
 	if err != nil {
 		return nil, fmt.Errorf("serve: AS%d spatial: %w", as, err)
 	}
@@ -53,8 +71,23 @@ func fitTarget(as astopo.AS, window []trace.Attack, total uint64, gen uint64, cf
 		Generation: gen,
 		FittedAt:   time.Now().UTC(),
 		LastStart:  window[len(window)-1].Start,
-		Prov:       Provenance{Refit: refitFull, FilteredRecords: filtered},
+		Prov:       prov,
 	}, nil
+}
+
+// searchEvery makes every searchEvery-th full refit of a target re-run the
+// NAR topology search; the full refits in between carry the topology.
+const searchEvery = 8
+
+// searchDue reports whether a full refit over a fit window of n records
+// runs the NAR delays×hidden grid instead of carrying prev's topology: on
+// the target's first fit, once its fit window has at least doubled since
+// the last search, and on every searchEvery-th full refit. A generation
+// without a recorded search window (a snapshot from before the policy)
+// is due.
+func searchDue(prev *TargetModels, n int) bool {
+	return prev == nil || n >= 2*prev.Prov.SearchWindow ||
+		prev.Prov.FullRefitsSinceSearch >= searchEvery-1
 }
 
 // filterVerdicts drops detector-alerted records from a fit window when the
@@ -171,13 +204,17 @@ func fitTargetIncremental(prev *TargetModels, as astopo.AS, window []trace.Attac
 			FoldedRecords:   len(tail),
 			FilteredRecords: tailFiltered,
 			IncrSinceFull:   prev.Prov.IncrSinceFull + 1,
+
+			SearchWindow:          prev.Prov.SearchWindow,
+			FullRefitsSinceSearch: prev.Prov.FullRefitsSinceSearch,
 		},
 	}, nil
 }
 
 // spatialCfg derives the per-target NAR configuration: the seed mixes the
-// service seed with the target AS, so refits are deterministic for a given
-// window regardless of scheduling.
+// service seed with the target AS, so a full refit is deterministic for a
+// given window and previous generation (whose topology it may carry),
+// regardless of scheduling.
 func spatialCfg(as astopo.AS, cfg Config) core.SpatialConfig {
 	sc := cfg.Spatial
 	sc.Seed = cfg.Seed ^ (uint64(as) * 0x9e3779b97f4a7c15)
@@ -202,42 +239,45 @@ func dominantFamily(window []trace.Attack) string {
 
 // fitSTModels grows the target's model trees from the walk-forward samples
 // stSamples builds; the same samples feed the stacked ensemble combiners.
-// Returns nils when the window is too short or any stage fails — the
-// target then serves component forecasts.
+// It also returns the topology of stSamples' prefix spatial model (zero
+// when there was none). Returns nil models when the window is too short
+// or any stage fails — the target then serves component forecasts.
 const (
 	stFitFrac    = 0.6
 	stMinWindow  = 24
 	stMinSamples = 10
 )
 
-func fitSTModels(as astopo.AS, window []trace.Attack, cfg Config) (*core.Spatiotemporal, *Ensemble) {
+func fitSTModels(as astopo.AS, window []trace.Attack, topo core.SpatialTopology, cfg Config) (*core.Spatiotemporal, *Ensemble, core.SpatialTopology) {
 	if len(window) < stMinWindow || len(window) < cfg.MinSTWindow {
-		return nil, nil
+		return nil, nil, core.SpatialTopology{}
 	}
-	samples := stSamples(as, window, cfg)
+	samples, prefixTopo := stSamples(as, window, topo, cfg)
 	if len(samples) < stMinSamples {
-		return nil, nil
+		return nil, nil, prefixTopo
 	}
 	st, err := core.FitSpatiotemporal(samples, cfg.ST)
 	if err != nil {
-		return nil, nil
+		return nil, nil, prefixTopo
 	}
-	return st, fitEnsemble(samples, cfg)
+	return st, fitEnsemble(samples, cfg), prefixTopo
 }
 
 // stSamples fits throwaway component models on the leading stFitFrac of
-// the window and walks the remainder with core.WalkStep, one labelled row
-// per attack. Returns nil when a component fit fails.
-func stSamples(as astopo.AS, window []trace.Attack, cfg Config) []core.STSample {
+// the window — the spatial one with topo, grid-searching its zero series —
+// and walks the remainder with core.WalkStep, one labelled row per attack.
+// It returns the rows and the prefix spatial model's topology. Returns
+// nil rows when a component fit fails.
+func stSamples(as astopo.AS, window []trace.Attack, topo core.SpatialTopology, cfg Config) ([]core.STSample, core.SpatialTopology) {
 	fitEnd := int(stFitFrac * float64(len(window)))
 	prefix := window[:fitEnd]
 	tm, err := core.FitTemporal(dominantFamily(prefix), prefix, cfg.Temporal)
 	if err != nil {
-		return nil
+		return nil, core.SpatialTopology{}
 	}
-	sm, err := core.FitSpatial(as, prefix, spatialCfg(as, cfg))
+	sm, err := core.FitSpatial(as, prefix, spatialCfg(as, cfg), topo)
 	if err != nil {
-		return nil
+		return nil, core.SpatialTopology{}
 	}
 	var ctx core.ContextTracker
 	for i := range prefix {
@@ -247,5 +287,5 @@ func stSamples(as astopo.AS, window []trace.Attack, cfg Config) []core.STSample 
 	for i := fitEnd; i < len(window); i++ {
 		samples = append(samples, core.WalkStep(tm, sm, &ctx, as, &window[i]))
 	}
-	return samples
+	return samples, sm.Topology()
 }

@@ -23,7 +23,8 @@ import (
 //	                      application/x-ddos-batch (trace.BatchEncoder);
 //	                      either wire feeds one batch call per request
 //	GET  /forecast      — ?target=<AS>: next-attack forecast for the target
-//	GET  /healthz       — liveness + store/registry/backlog summary
+//	GET  /healthz       — liveness + store/registry/backlog summary; 503
+//	                      while the attached WAL is poisoned
 //	GET  /metrics       — Prometheus text exposition
 //	GET  /accuracy      — windowed online forecast-accuracy per model
 //	GET  /alerts        — streaming-detector state: counters plus the
@@ -295,9 +296,12 @@ func (s *Service) handleAlerts(w http.ResponseWriter, r *http.Request) {
 // Health is the /healthz response body. Cluster is present only when the
 // node runs in cluster mode (cluster.Status via SetClusterInfo): node
 // identity, ring epoch, peer count, replication lag — the fields smoke/CI
-// polls to wait on cluster formation.
+// polls to wait on cluster formation. A node whose attached WAL an fsync
+// failure poisoned answers 503 with Status "wal_failed" and the error in
+// WALError: it can no longer ack anything as durable.
 type Health struct {
 	Status          string  `json:"status"`
+	WALError        string  `json:"wal_error,omitempty"`
 	UptimeSec       float64 `json:"uptime_sec"`
 	Shards          int     `json:"shards"`
 	TargetsKnown    int     `json:"targets_known"`
@@ -314,8 +318,13 @@ func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.updateTargetGauges()
-	writeJSON(w, http.StatusOK, &Health{
-		Status:          "ok",
+	code, status, walErr := http.StatusOK, "ok", ""
+	if err := s.walErr(); err != nil {
+		code, status, walErr = http.StatusServiceUnavailable, "wal_failed", err.Error()
+	}
+	writeJSON(w, code, &Health{
+		Status:          status,
+		WALError:        walErr,
 		UptimeSec:       time.Since(s.start).Seconds(),
 		Shards:          s.store.Shards(),
 		TargetsKnown:    s.store.Len(),

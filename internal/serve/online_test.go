@@ -91,7 +91,7 @@ func TestEvictionDropsRegistryTarget(t *testing.T) {
 func TestReadSnapshotVersionMonotone(t *testing.T) {
 	cfg := testConfig().withDefaults()
 	window := mkAttacks(64512, 0, 12)
-	tm, err := fitTarget(64512, window, 12, 1, cfg)
+	tm, err := fitTarget(nil, 64512, window, 12, 1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,11 +133,11 @@ func TestReadSnapshotVersionMonotone(t *testing.T) {
 func TestReadSnapshotIgnoresStaleFile(t *testing.T) {
 	cfg := testConfig().withDefaults()
 	const oldAS, newAS = astopo.AS(64512), astopo.AS(64600)
-	tmOld, err := fitTarget(oldAS, mkAttacks(oldAS, 0, 12), 12, 1, cfg)
+	tmOld, err := fitTarget(nil, oldAS, mkAttacks(oldAS, 0, 12), 12, 1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tmNew, err := fitTarget(newAS, mkAttacks(newAS, 1000, 12), 12, 2, cfg)
+	tmNew, err := fitTarget(nil, newAS, mkAttacks(newAS, 1000, 12), 12, 2, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,12 +195,12 @@ func TestVerdictFilterImprovesBurstAccuracy(t *testing.T) {
 	window := append(append([]trace.Attack{}, attacks...), burst...)
 
 	cfg := testConfig().withDefaults()
-	plain, err := fitTarget(as, window, uint64(len(window)), 1, cfg)
+	plain, err := fitTarget(nil, as, window, uint64(len(window)), 1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.RefitVerdictFilter = true
-	filtered, err := fitTarget(as, window, uint64(len(window)), 2, cfg)
+	filtered, err := fitTarget(nil, as, window, uint64(len(window)), 2, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestIncrementalDeclinesOutOfOrderTail(t *testing.T) {
 	cfg.DriftRatio = 0 // eligibility under test, not the drift diagnostic
 	base := mkAttacks(as, 0, 40)
 
-	prev, err := fitTarget(as, base[:36], 36, 1, cfg)
+	prev, err := fitTarget(nil, as, base[:36], 36, 1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +300,7 @@ func TestIncrementalFamilyCheckUsesFilteredWindow(t *testing.T) {
 		burst[i].Start = clean[28].Start.Add(time.Duration(i+1) * time.Second)
 	}
 	prevWin := append(append([]trace.Attack{}, clean[:29]...), burst...)
-	prev, err := fitTarget(as, prevWin, uint64(len(prevWin)), 1, cfg)
+	prev, err := fitTarget(nil, as, prevWin, uint64(len(prevWin)), 1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -526,7 +526,7 @@ func TestDegradedSTPromotesComponentChampion(t *testing.T) {
 func TestSnapshotRoundTripEnsembleProvenance(t *testing.T) {
 	cfg := testConfig().withDefaults()
 	window := mkAttacks(64512, 0, 12)
-	tm, err := fitTarget(64512, window, 12, 3, cfg)
+	tm, err := fitTarget(nil, 64512, window, 12, 3, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -591,7 +591,7 @@ func TestEnsembleFitsOnWalkForwardSamples(t *testing.T) {
 	cfg := testConfig().withDefaults()
 	cfg.MinSTWindow = 24
 	window := mkAttacks(64512, 0, 64)
-	st, ens := fitSTModels(64512, window, cfg)
+	st, ens, _ := fitSTModels(64512, window, core.SpatialTopology{}, cfg)
 	if st == nil {
 		t.Fatal("spatiotemporal stage did not engage on a 64-record window")
 	}
@@ -626,7 +626,7 @@ func BenchmarkRefitFull(b *testing.B) {
 	window := benchWindow(160)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := fitTarget(64512, window, uint64(len(window)), uint64(i+1), cfg); err != nil {
+		if _, err := fitTarget(nil, 64512, window, uint64(len(window)), uint64(i+1), cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -640,7 +640,7 @@ func BenchmarkRefitIncremental(b *testing.B) {
 	// diagnostic's cost in the measurement without aborting the fold-in.
 	cfg.DriftRatio = 1e9
 	window := benchWindow(160)
-	prev, err := fitTarget(64512, window[:152], 152, 1, cfg)
+	prev, err := fitTarget(nil, 64512, window[:152], 152, 1, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -70,6 +70,13 @@ type Provenance struct {
 	// IncrSinceFull counts consecutive incremental refits since the last
 	// full re-estimation (bounded by Config.FullRefitEvery).
 	IncrSinceFull int `json:"incr_since_full,omitempty"`
+	// SearchWindow is the fit-window length of the last full refit that
+	// grid-searched the NAR topology. Zero, as in a snapshot from before
+	// the field, makes the next full refit search.
+	SearchWindow int `json:"search_window,omitempty"`
+	// FullRefitsSinceSearch counts the full refits since that search that
+	// carried its topology instead (see searchDue).
+	FullRefitsSinceSearch int `json:"full_refits_since_search,omitempty"`
 	// Champions is the served composition per measure.
 	Champions Champions `json:"champions"`
 	// History is the capped promotion lineage, oldest first.

@@ -77,7 +77,7 @@ func (s *scheduler) fitOnline(as astopo.AS, window []trace.Attack, total uint64,
 		}
 	}
 	if tm == nil {
-		if tm, err = fitTarget(as, window, total, gen, cfg); err != nil {
+		if tm, err = fitTarget(prev, as, window, total, gen, cfg); err != nil {
 			return nil, err
 		}
 	}
@@ -236,8 +236,11 @@ func (s *scheduler) refitBatch(batch []astopo.AS) {
 		s.store.MarkRefitted(as, totals[i])
 		s.tel.refitsDone.Inc()
 		published++
-		if tm.Prov.Refit == refitIncremental {
+		switch {
+		case tm.Prov.Refit == refitIncremental:
 			s.tel.refitIncremental.Inc()
+		case tm.Prov.FullRefitsSinceSearch == 0:
+			s.tel.refitSearches.Inc()
 		}
 		for _, p := range tm.Prov.History {
 			if p.Generation == tm.Generation {

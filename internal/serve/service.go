@@ -236,8 +236,10 @@ type telemetry struct {
 	traceDropped   *metrics.Counter
 
 	// Online model-layer instruments (DESIGN.md §15): incremental-refit
-	// volume and champion promotions by the kind promoted to.
+	// volume, full refits that searched the NAR topology, and champion
+	// promotions by the kind promoted to.
 	refitIncremental *metrics.Counter
+	refitSearches    *metrics.Counter
 	promotions       *metrics.CounterVec
 
 	// stageSecs splits pipeline latency by stage; stages caches the
@@ -259,6 +261,7 @@ type telemetry struct {
 	walTruncations  *metrics.Counter
 	walCheckpoints  *metrics.Counter
 	walCompacted    *metrics.Counter
+	walFailed       *metrics.Gauge
 
 	// Streaming-detector instruments (ddosd_detect_*). Registered always
 	// so the series exist from boot; they stay zero with detection off.
@@ -300,6 +303,8 @@ func newTelemetry(stageBuckets []float64) *telemetry {
 		targetsEvicted: r.Counter("ddosd_targets_evicted_total", "Targets evicted from the state store under -max-targets."),
 		refitIncremental: r.Counter("ddosd_refit_incremental_total",
 			"Refits that took the incremental fold-in path instead of a full re-estimation."),
+		refitSearches: r.Counter("ddosd_refit_searches_total",
+			"Full refits that grid-searched the NAR delays and hidden nodes instead of carrying the previous generation's topology (first fits included)."),
 		promotions: r.CounterVec("ddosd_model_promotions_total",
 			"Champion/challenger promotions, by the model kind promoted to.", "kind"),
 		traceDropped: r.Counter("ddosd_trace_dropped_total", "Root spans evicted from the trace ring before any /debug/traces read."),
@@ -326,6 +331,7 @@ func newTelemetry(stageBuckets []float64) *telemetry {
 		walTruncations:  r.Counter("ddosd_wal_replay_truncated_total", "Boot replays that stopped at a torn or corrupt frame."),
 		walCheckpoints:  r.Counter("ddosd_wal_checkpoints_total", "Durable store checkpoints written."),
 		walCompacted:    r.Counter("ddosd_wal_compacted_segments_total", "WAL segments removed by checkpoint compaction."),
+		walFailed:       r.Gauge("ddosd_wal_failed", "1 while the attached WAL is poisoned by a failed fsync: ingest answers 500 and /healthz 503 until restart."),
 		detRecords:      r.Counter("ddosd_detect_records_total", "Records evaluated by the streaming detection tier."),
 		detStale:        r.Counter("ddosd_detect_stale_records_total", "Detector records older than the ring coverage behind the target watermark (outside every window)."),
 		detAlerts:       r.CounterVec("ddosd_detect_alerts_total", "Detector alerts raised, per kind.", "kind"),

@@ -34,30 +34,35 @@ func irregularAttacks(as astopo.AS, idBase, n int) []trace.Attack {
 
 // TestLeakGuardSTSamples pins that a training row is built before its
 // label is seen: changing the labelled attack's Start, duration or
-// magnitude leaves that attack's own row unchanged.
+// magnitude leaves that attack's own row unchanged. It runs once with the
+// prefix grid-searching its topology and once with a carried topology
+// the grid would not pick.
 func TestLeakGuardSTSamples(t *testing.T) {
 	const as = astopo.AS(64512)
 	cfg := testConfig()
 	window := irregularAttacks(as, 0, 40)
 	fitEnd := int(stFitFrac * float64(len(window)))
 	const j = 30 // a labelled attack inside the walk
-	base := stSamples(as, window, cfg)
-	if len(base) != len(window)-fitEnd {
-		t.Fatalf("%d samples, want %d", len(base), len(window)-fitEnd)
-	}
-	want := base[j-fitEnd].F
-	for _, tc := range []struct {
-		name    string
-		perturb func(a *trace.Attack)
-	}{
-		{"start", func(a *trace.Attack) { a.Start = a.Start.Add(97 * time.Minute) }},
-		{"duration", func(a *trace.Attack) { a.DurationSec = 3*a.DurationSec + 1 }},
-		{"magnitude", func(a *trace.Attack) { a.Bots = make([]astopo.IPv4, 2*len(a.Bots)+1) }},
-	} {
-		mod := append([]trace.Attack(nil), window...)
-		tc.perturb(&mod[j])
-		if got := stSamples(as, mod, cfg)[j-fitEnd].F; got != want {
-			t.Errorf("%s: perturbing attack %d changed its own row:\n got %+v\nwant %+v", tc.name, j, got, want)
+	carried := core.Topology{Delays: 3, Hidden: 3}
+	for _, topo := range []core.SpatialTopology{{}, {Duration: carried, Hour: carried, Day: carried}} {
+		base, _ := stSamples(as, window, topo, cfg)
+		if len(base) != len(window)-fitEnd {
+			t.Fatalf("topology %+v: %d samples, want %d", topo, len(base), len(window)-fitEnd)
+		}
+		want := base[j-fitEnd].F
+		for _, tc := range []struct {
+			name    string
+			perturb func(a *trace.Attack)
+		}{
+			{"start", func(a *trace.Attack) { a.Start = a.Start.Add(97 * time.Minute) }},
+			{"duration", func(a *trace.Attack) { a.DurationSec = 3*a.DurationSec + 1 }},
+			{"magnitude", func(a *trace.Attack) { a.Bots = make([]astopo.IPv4, 2*len(a.Bots)+1) }},
+		} {
+			mod := append([]trace.Attack(nil), window...)
+			tc.perturb(&mod[j])
+			if got, _ := stSamples(as, mod, topo, cfg); got[j-fitEnd].F != want {
+				t.Errorf("topology %+v, %s: perturbing attack %d changed its own row:\n got %+v\nwant %+v", topo, tc.name, j, got[j-fitEnd].F, want)
+			}
 		}
 	}
 }
@@ -72,7 +77,7 @@ func TestForecastRowParity(t *testing.T) {
 	cfg.MinSTWindow = 24
 	attacks := irregularAttacks(as, 0, 41)
 	window, next := attacks[:40], &attacks[40]
-	tm, err := fitTarget(as, window, uint64(len(window)), 1, cfg)
+	tm, err := fitTarget(nil, as, window, uint64(len(window)), 1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

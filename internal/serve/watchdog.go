@@ -20,7 +20,8 @@ import (
 // WatchdogConfig selects the monitored SLOs and the bundle ring. The
 // zero value for any threshold disables that rule (ShedRate uses a
 // negative value: a 0.0 shed-rate threshold — "any shedding breaches" —
-// is legitimate).
+// is legitimate). The wal_failed rule, a WAL poisoned by a failed fsync,
+// is always on.
 type WatchdogConfig struct {
 	// Dir is the bundle ring directory. Required.
 	Dir string
@@ -62,7 +63,16 @@ func (s *Service) StartWatchdog(cfg WatchdogConfig) (*obs.Watchdog, error) {
 	if s.watchdog.Load() != nil {
 		return nil, fmt.Errorf("serve: watchdog already started")
 	}
-	var rules []obs.WatchdogRule
+	// wal_failed is always on: a poisoned WAL stops every durable ack.
+	rules := []obs.WatchdogRule{{
+		Name: "wal_failed",
+		Value: func() float64 {
+			if s.walErr() != nil {
+				return 1
+			}
+			return 0
+		},
+	}}
 	if cfg.IngestP99 > 0 {
 		rules = append(rules, obs.WatchdogRule{
 			Name:      "ingest_p99_seconds",

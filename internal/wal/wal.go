@@ -22,7 +22,9 @@
 // Durability is tunable per deployment with SyncPolicy: fsync on every
 // append (ack == on disk), on a background interval (bounded loss window,
 // much cheaper), or never (page cache only; survives process death but not
-// power loss).
+// power loss). The first failed fsync poisons the log for good: every
+// later append, Sync and Rotate returns ErrSyncFailed without syncing
+// again.
 package wal
 
 import (
@@ -64,6 +66,10 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrClosed is returned by operations on a closed WAL.
 var ErrClosed = errors.New("wal: closed")
+
+// ErrSyncFailed marks a log poisoned by a failed fsync. The error a
+// poisoned log returns wraps both it and the first fsync error.
+var ErrSyncFailed = errors.New("wal: an fsync failed, the log is no longer durable")
 
 // SyncMode selects when appends reach stable storage.
 type SyncMode int
@@ -133,6 +139,7 @@ type Stats struct {
 	SealedBytes    int64  // bytes across sealed segments
 	Appends        uint64 // records appended over this WAL's lifetime
 	AppendedBytes  uint64 // frame bytes appended over this WAL's lifetime
+	Failed         bool   // an fsync failed and the log is poisoned (see Err)
 }
 
 // TotalSegments is the segment-file count on disk: sealed plus the one
@@ -164,9 +171,11 @@ type WAL struct {
 	sealed        map[uint64]int64 // seq -> file size
 	appends       uint64
 	appendedBytes uint64
-	dirty         bool // unsynced appends (SyncInterval)
+	dirty         bool  // unsynced appends (SyncInterval)
+	failed        error // the first fsync failure; sticky (syncLocked)
 	closed        bool
-	frame         []byte // reusable frame buffer
+	frame         []byte               // reusable frame buffer
+	fsync         func(*os.File) error // every sync site's call; see SetSyncFunc
 
 	syncStop chan struct{}
 	syncDone chan struct{}
@@ -192,7 +201,7 @@ func Open(opts Options) (*WAL, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	w := &WAL{opts: opts, sealed: make(map[uint64]int64)}
+	w := &WAL{opts: opts, sealed: make(map[uint64]int64), fsync: (*os.File).Sync}
 	entries, err := os.ReadDir(opts.Dir)
 	if err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
@@ -287,6 +296,9 @@ func (w *WAL) AppendBatch(payloads [][]byte) error {
 	if w.closed {
 		return ErrClosed
 	}
+	if w.failed != nil {
+		return w.failed
+	}
 	w.frame = w.frame[:0]
 	pending := uint64(0)
 	flush := func() error {
@@ -324,8 +336,8 @@ func (w *WAL) AppendBatch(payloads [][]byte) error {
 	}
 	switch w.opts.Sync.Mode {
 	case SyncAlways:
-		if err := w.f.Sync(); err != nil {
-			return fmt.Errorf("wal: sync: %w", err)
+		if err := w.syncLocked(); err != nil {
+			return err
 		}
 	case SyncInterval:
 		w.dirty = true
@@ -341,10 +353,40 @@ func (w *WAL) Sync() error {
 		return ErrClosed
 	}
 	w.dirty = false
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("wal: sync: %w", err)
+	return w.syncLocked()
+}
+
+// syncLocked fsyncs the active segment. The first failure poisons the
+// log: the kernel may already have dropped the dirty pages the failed
+// fsync covered, so a later fsync can succeed without those records being
+// on disk. From then on every sync site and every append, Sync and Rotate
+// return the same error without trying again.
+func (w *WAL) syncLocked() error {
+	if w.failed != nil {
+		return w.failed
+	}
+	if err := w.fsync(w.f); err != nil {
+		w.failed = fmt.Errorf("%w: %w", ErrSyncFailed, err)
+		return w.failed
 	}
 	return nil
+}
+
+// SetSyncFunc replaces the call every sync site of this log makes to
+// fsync a segment, (*os.File).Sync. It is the seam tests use to inject
+// fsync failures.
+func (w *WAL) SetSyncFunc(fn func(*os.File) error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.fsync = fn
+}
+
+// Err returns the error that poisoned the log, or nil while every fsync
+// has succeeded.
+func (w *WAL) Err() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.failed
 }
 
 func (w *WAL) syncLoop() {
@@ -359,7 +401,7 @@ func (w *WAL) syncLoop() {
 			w.mu.Lock()
 			if !w.closed && w.dirty {
 				w.dirty = false
-				_ = w.f.Sync()
+				_ = w.syncLocked() // kept in w.failed for the next caller
 			}
 			w.mu.Unlock()
 		}
@@ -368,8 +410,8 @@ func (w *WAL) syncLoop() {
 
 // rotateLocked seals the active segment and opens the next one.
 func (w *WAL) rotateLocked() error {
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("wal: seal sync: %w", err)
+	if err := w.syncLocked(); err != nil {
+		return fmt.Errorf("wal: seal: %w", err)
 	}
 	if err := w.f.Close(); err != nil {
 		return fmt.Errorf("wal: seal close: %w", err)
@@ -389,6 +431,9 @@ func (w *WAL) Rotate() (sealedUpTo uint64, err error) {
 	defer w.mu.Unlock()
 	if w.closed {
 		return 0, ErrClosed
+	}
+	if w.failed != nil {
+		return 0, w.failed
 	}
 	if w.activeBytes > int64(len(segmentMagic)) {
 		if err := w.rotateLocked(); err != nil {
@@ -546,6 +591,7 @@ func (w *WAL) Stats() Stats {
 		SealedSegments: len(w.sealed),
 		Appends:        w.appends,
 		AppendedBytes:  w.appendedBytes,
+		Failed:         w.failed != nil,
 	}
 	for _, size := range w.sealed {
 		s.SealedBytes += size
@@ -553,7 +599,8 @@ func (w *WAL) Stats() Stats {
 	return s
 }
 
-// Close syncs and closes the active segment. Further operations return
+// Close syncs and closes the active segment; a poisoned log is closed
+// without another fsync and returns its error. Further operations return
 // ErrClosed. Close is idempotent.
 func (w *WAL) Close() error {
 	w.mu.Lock()
@@ -562,7 +609,7 @@ func (w *WAL) Close() error {
 		return nil
 	}
 	w.closed = true
-	syncErr := w.f.Sync()
+	syncErr := w.syncLocked()
 	closeErr := w.f.Close()
 	w.mu.Unlock()
 	if w.syncStop != nil {
