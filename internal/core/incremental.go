@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 
 	"repro/internal/trace"
 )
@@ -10,6 +9,18 @@ import (
 // ErrNoTail is returned by the incremental constructors when there is
 // nothing to fold in or no previous generation to fold into.
 var ErrNoTail = errors.New("core: incremental refit needs a previous model and a non-empty tail")
+
+// SeriesError names the series whose fold-in failed in an incremental
+// refit; Err is the fold-in's error (arima.ErrDrift or nn.ErrDrift when
+// the drift diagnostic fired).
+type SeriesError struct {
+	Series string // temporal: magnitude, hour, day, interval; spatial: duration, hour, day
+	Err    error
+}
+
+func (e *SeriesError) Error() string { return "core: " + e.Series + " series: " + e.Err.Error() }
+
+func (e *SeriesError) Unwrap() error { return e.Err }
 
 // foldIn returns a copy of the series model advanced over the new values:
 // the running mean absorbs them and the ARIMA state folds them in without
@@ -56,9 +67,9 @@ func (nm *narModel) foldIn(xs []float64, epochs int, driftRatio float64) (*narMo
 // previous generation's temporal model: running means absorb the tail and
 // each ARIMA series folds it in as walk-forward updates under frozen
 // coefficients — O(len(tail)) instead of a full O(window) order search.
-// When any series' residual diagnostic degrades past driftRatio the error
-// propagates and the caller must fall back to a full refit. The previous
-// model is never mutated.
+// When any series' residual diagnostic degrades past driftRatio a
+// *SeriesError naming it is returned and the caller must fall back to a
+// full refit. The previous model is never mutated.
 func IncrementalTemporal(prev *Temporal, tail []trace.Attack, driftRatio float64) (*Temporal, error) {
 	if prev == nil || len(tail) == 0 {
 		return nil, ErrNoTail
@@ -85,16 +96,16 @@ func IncrementalTemporal(prev *Temporal, tail []trace.Attack, driftRatio float64
 	t := &Temporal{Family: prev.Family, lastStart: last}
 	var err error
 	if t.magnitude, err = prev.magnitude.foldIn(mags, driftRatio); err != nil {
-		return nil, fmt.Errorf("core: magnitude series: %w", err)
+		return nil, &SeriesError{Series: "magnitude", Err: err}
 	}
 	if t.hour, err = prev.hour.foldIn(hours, driftRatio); err != nil {
-		return nil, fmt.Errorf("core: hour series: %w", err)
+		return nil, &SeriesError{Series: "hour", Err: err}
 	}
 	if t.day, err = prev.day.foldIn(days, driftRatio); err != nil {
-		return nil, fmt.Errorf("core: day series: %w", err)
+		return nil, &SeriesError{Series: "day", Err: err}
 	}
 	if t.interval, err = prev.interval.foldIn(intervals, driftRatio); err != nil {
-		return nil, fmt.Errorf("core: interval series: %w", err)
+		return nil, &SeriesError{Series: "interval", Err: err}
 	}
 	return t, nil
 }
@@ -104,8 +115,8 @@ func IncrementalTemporal(prev *Temporal, tail []trace.Attack, driftRatio float64
 // and scalers are kept and each network is warm re-trained on only the new
 // lag rows — O(len(tail)·epochs) instead of a full delays×hidden grid
 // search over the window. A drift diagnostic failure on any series
-// propagates, signalling the caller to fall back to a full refit. The
-// previous model is never mutated.
+// returns a *SeriesError naming it, signalling the caller to fall back to
+// a full refit. The previous model is never mutated.
 func IncrementalSpatial(prev *Spatial, tail []trace.Attack, epochs int, driftRatio float64) (*Spatial, error) {
 	if prev == nil || len(tail) == 0 {
 		return nil, ErrNoTail
@@ -121,13 +132,13 @@ func IncrementalSpatial(prev *Spatial, tail []trace.Attack, epochs int, driftRat
 	s := &Spatial{AS: prev.AS}
 	var err error
 	if s.duration, err = prev.duration.foldIn(durs, epochs, driftRatio); err != nil {
-		return nil, fmt.Errorf("core: duration series: %w", err)
+		return nil, &SeriesError{Series: "duration", Err: err}
 	}
 	if s.hour, err = prev.hour.foldIn(hours, epochs, driftRatio); err != nil {
-		return nil, fmt.Errorf("core: hour series: %w", err)
+		return nil, &SeriesError{Series: "hour", Err: err}
 	}
 	if s.day, err = prev.day.foldIn(days, epochs, driftRatio); err != nil {
-		return nil, fmt.Errorf("core: day series: %w", err)
+		return nil, &SeriesError{Series: "day", Err: err}
 	}
 	return s, nil
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"sync/atomic"
 
+	"repro/internal/astopo"
 	"repro/internal/serve/metrics"
 	"repro/internal/trace"
 )
@@ -18,10 +19,11 @@ import (
 // tailed from a peer's sealed WAL segments. It is IngestBatch minus load
 // shedding: replication is how a follower stays warm for takeover, so it
 // must not be turned away by a refit backlog (the refit scheduler's own
-// queue still bounds refit work; a dropped refit mark is recovered by the
-// next applied record). The records re-enter this node's own WAL under
-// the checkpoint barrier, so a promoted follower recovers replicated
-// state from its local log exactly like locally ingested state.
+// queue still bounds refit work; a dropped refit mark is retried by the
+// next applied record or the staleness sweep). The records re-enter this
+// node's own WAL under the checkpoint barrier, so a promoted follower
+// recovers replicated state from its local log exactly like locally
+// ingested state.
 func (s *Service) IngestBatchReplica(records []trace.Attack, payload func(i int) []byte) (BatchResult, error) {
 	res, _, err := s.ingestBatch(records, payload, false)
 	return res, err
@@ -88,11 +90,11 @@ func (s *Service) InstallCheckpoint(targets []TargetCheckpoint, keep func(tc *Ta
 	// Restore holds each shard lock while swapping the target in; the
 	// checkpoint barrier below then makes the merged image durable.
 	s.store.Restore(kept)
+	ases := make([]astopo.AS, len(kept))
 	for i := range kept {
-		if len(kept[i].Attacks) >= s.cfg.MinWindow {
-			s.sched.TryEnqueue(kept[i].AS)
-		}
+		ases[i] = kept[i].AS
 	}
+	s.requeueReady(ases)
 	if s.walRef.Load() != nil {
 		if err := s.CheckpointWAL(); err != nil {
 			return len(kept), err
@@ -106,14 +108,25 @@ func (s *Service) InstallCheckpoint(targets []TargetCheckpoint, keep func(tc *Ta
 // freshly promoted follower serve /forecast for its newly owned targets
 // immediately.
 func (s *Service) RequeueRefits() int {
+	n := s.requeueReady(s.store.Targets())
+	s.sched.Flush()
+	return n
+}
+
+// requeueReady queues a refit for each target holding at least MinWindow
+// records and returns how many it queued. Unlike ingest's marks these
+// wait for queue room instead of dropping: restored targets carry no
+// unread stamp, so a dropped mark would leave them unpublished until
+// their next record.
+func (s *Service) requeueReady(targets []astopo.AS) int {
 	n := 0
-	for _, as := range s.store.Targets() {
-		if window, _ := s.store.Window(as); len(window) >= s.cfg.MinWindow {
-			if s.sched.TryEnqueue(as) {
-				n++
-			}
+	for _, as := range targets {
+		if window, _ := s.store.Window(as); len(window) < s.cfg.MinWindow {
+			continue
+		}
+		if _, ok := s.sched.enqueue(as, true); ok {
+			n++
 		}
 	}
-	s.sched.Flush()
 	return n
 }

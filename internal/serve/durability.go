@@ -236,14 +236,10 @@ func (s *Service) RecoverWAL(w *wal.WAL, progress func(RecoveryStats)) (Recovery
 		s.tel.walTruncations.Inc()
 	}
 
-	// Re-schedule refits so the registry repopulates before serving.
-	for _, as := range s.store.Targets() {
-		if window, _ := s.store.Window(as); len(window) >= s.cfg.MinWindow {
-			if s.sched.TryEnqueue(as) {
-				rs.Refits++
-			}
-		}
-	}
+	// Re-schedule refits so the registry repopulates before serving: the
+	// marks wait for queue room, so every ready target publishes before
+	// boot reports ready, however many there are.
+	rs.Refits = s.requeueReady(s.store.Targets())
 	s.sched.Flush()
 	if progress != nil {
 		progress(rs)

@@ -31,8 +31,8 @@ func openWAL(t *testing.T, dir string, segBytes int64) *wal.WAL {
 
 // storeImage serializes the store's durable state for equality checks.
 // The since-refit counter is zeroed: it moves with background refit
-// timing (MarkRefitted), and losing refit marks across a crash only makes
-// the next refit come earlier.
+// timing (each refit's window read), and losing refit marks across a
+// crash only makes the next refit come earlier.
 func storeImage(t *testing.T, s *Store) []byte {
 	t.Helper()
 	cp := s.Checkpoint()
@@ -95,6 +95,81 @@ func TestWALRecoveryRoundTrip(t *testing.T) {
 	}
 	if rs2.Replayed != 0 || rs2.Duplicates != 20 {
 		t.Fatalf("second replay = %+v, want 0 new / 20 duplicates", rs2)
+	}
+}
+
+// queueBoundConfig is testConfig with a refit queue far shallower than
+// the number of ready targets the boot and fail-over tests restore.
+func queueBoundConfig() Config {
+	cfg := testConfig()
+	cfg.QueueDepth, cfg.BatchSize = 4, 2
+	return cfg
+}
+
+// readyTargets builds n targets of k records each.
+func readyTargets(n, k int) []TargetCheckpoint {
+	out := make([]TargetCheckpoint, n)
+	for i := range out {
+		as := astopo.AS(64512 + i)
+		out[i] = TargetCheckpoint{AS: as, Total: uint64(k), Attacks: mkAttacks(as, 1000*i, k)}
+	}
+	return out
+}
+
+// TestRecoveryPublishesPastQueueDepth: RecoverWAL publishes every
+// recovered target before it returns, even when there are ten times more
+// ready targets than the refit queue holds.
+func TestRecoveryPublishesPastQueueDepth(t *testing.T) {
+	const targets = 40
+	dir := t.TempDir()
+	quiet := testConfig()
+	quiet.MinWindow = 1 << 20 // nothing refits before the crash
+	svc := New(quiet)
+	svc.AttachWAL(openWAL(t, dir, 0), nil)
+	var records []trace.Attack
+	for _, tc := range readyTargets(targets, 8) {
+		records = append(records, tc.Attacks...)
+	}
+	if _, err := svc.IngestBatch(records, nil); err != nil {
+		t.Fatal(err)
+	}
+	svc.Close() // no checkpoint: the WAL is the only copy
+
+	svc2 := New(queueBoundConfig())
+	defer svc2.Close()
+	rs, err := svc2.RecoverWAL(openWAL(t, dir, 0), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.Refits != targets || svc2.Registry().Size() != targets {
+		t.Fatalf("recovery queued %d refits and published %d targets, want %d of each", rs.Refits, svc2.Registry().Size(), targets)
+	}
+}
+
+// TestRequeueRefitsPublishesPastQueueDepth: a promoted follower publishes
+// every target it holds, however shallow its refit queue.
+func TestRequeueRefitsPublishesPastQueueDepth(t *testing.T) {
+	const targets = 40
+	svc := New(queueBoundConfig())
+	defer svc.Close()
+	svc.Store().Restore(readyTargets(targets, 8))
+	if n := svc.RequeueRefits(); n != targets || svc.Registry().Size() != targets {
+		t.Fatalf("RequeueRefits queued %d and published %d targets, want %d of each", n, svc.Registry().Size(), targets)
+	}
+}
+
+// TestInstallCheckpointPublishesPastQueueDepth: installed targets carry
+// no unread stamp, so each must get its refit mark at install time.
+func TestInstallCheckpointPublishesPastQueueDepth(t *testing.T) {
+	const targets = 40
+	svc := New(queueBoundConfig())
+	defer svc.Close()
+	if n, err := svc.InstallCheckpoint(readyTargets(targets, 8), nil); n != targets || err != nil {
+		t.Fatalf("InstallCheckpoint = %d, %v; want %d", n, err, targets)
+	}
+	svc.Flush()
+	if got := svc.Registry().Size(); got != targets {
+		t.Fatalf("%d targets published after the install, want %d", got, targets)
 	}
 }
 

@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/arima"
 	"repro/internal/astopo"
 	"repro/internal/core"
+	"repro/internal/nn"
 	"repro/internal/trace"
 )
 
@@ -128,23 +130,85 @@ const warmEpochs = 40
 // scheduler then falls back to a full refit without counting an error).
 var errNotEligible = errors.New("serve: window not eligible for incremental refit")
 
+// Why a refit ran as a full re-estimation: the reason label of
+// ddosd_refit_full_total. Drift aborts add drift_temporal_<series> and
+// drift_spatial_<series> (fullReasons).
+const (
+	fullFirstFit       = "first_fit"       // no published generation yet
+	fullIncrementalOff = "incremental_off" // Config.IncrementalRefit is off
+	fullCap            = "cap"             // FullRefitEvery generations since the last full refit
+	fullTail           = "tail"            // no new records, a tail longer than half the window, or a tail the verdict filter emptied
+	fullOutOfOrder     = "out_of_order"    // the tail does not sort after the previous fit's newest record
+	fullFamilyChanged  = "family_changed"  // the window's dominant family changed
+	fullFoldError      = "fold_error"      // a fold-in failed for a reason other than drift
+)
+
+// fullReasons lists every reason label, so each child exists from boot.
+func fullReasons() []string {
+	r := []string{fullFirstFit, fullIncrementalOff, fullCap, fullTail, fullOutOfOrder, fullFamilyChanged, fullFoldError}
+	for _, series := range []string{"magnitude", "hour", "day", "interval"} {
+		r = append(r, "drift_temporal_"+series)
+	}
+	for _, series := range []string{"duration", "hour", "day"} {
+		r = append(r, "drift_spatial_"+series)
+	}
+	return r
+}
+
+// declineError is the incremental path turning a window down; reason is
+// the label of the full refit that runs instead.
+type declineError struct {
+	reason string
+	err    error
+}
+
+func (e *declineError) Error() string { return e.err.Error() }
+
+func (e *declineError) Unwrap() error { return e.err }
+
+// fullReasonOf returns the full-refit reason an incremental refit's error
+// carries.
+func fullReasonOf(err error) string {
+	var d *declineError
+	if errors.As(err, &d) {
+		return d.reason
+	}
+	return fullFoldError
+}
+
+// foldError wraps a failed fold-in of the temporal or spatial model
+// (model) with its reason: drift_<model>_<series> when the drift
+// diagnostic fired, fold_error otherwise.
+func foldError(as astopo.AS, model string, err error) error {
+	reason := fullFoldError
+	var se *core.SeriesError
+	if errors.As(err, &se) && (errors.Is(err, arima.ErrDrift) || errors.Is(err, nn.ErrDrift)) {
+		reason = "drift_" + model + "_" + se.Series
+	}
+	return &declineError{reason, fmt.Errorf("serve: AS%d incremental %s: %w", as, model, err)}
+}
+
 // fitTargetIncremental folds only the records that arrived since the
 // previous generation into clones of its models — O(new records) instead
 // of O(window) — keeping the previous spatiotemporal tree and ensemble
 // (they are re-estimated on the periodic full refit). Eligibility is
 // strict: there must be a genuinely small in-order tail, the family must
 // be stable, and the per-series drift diagnostics must stay quiet;
-// anything else returns an error and the caller runs the full fit.
+// anything else returns a *declineError naming the reason, and the caller
+// runs the full fit.
 func fitTargetIncremental(prev *TargetModels, as astopo.AS, window []trace.Attack, total uint64, gen uint64, cfg Config) (*TargetModels, error) {
-	if prev == nil || len(window) < cfg.MinWindow {
-		return nil, errNotEligible
+	if prev == nil {
+		return nil, &declineError{fullFirstFit, errNotEligible}
+	}
+	if len(window) < cfg.MinWindow {
+		return nil, &declineError{fullTail, errNotEligible}
 	}
 	if prev.Prov.IncrSinceFull >= cfg.FullRefitEvery-1 {
-		return nil, fmt.Errorf("%w: %d incremental generations since last full", errNotEligible, prev.Prov.IncrSinceFull)
+		return nil, &declineError{fullCap, fmt.Errorf("%w: %d incremental generations since last full", errNotEligible, prev.Prov.IncrSinceFull)}
 	}
 	newCount := int(total - prev.Total)
 	if newCount <= 0 || newCount > len(window)/2 {
-		return nil, errNotEligible
+		return nil, &declineError{fullTail, errNotEligible}
 	}
 	tail := window[len(window)-newCount:]
 	// The store keeps the window sorted by Start, so an out-of-order
@@ -154,14 +218,14 @@ func fitTargetIncremental(prev *TargetModels, as astopo.AS, window []trace.Attac
 	// does not would double-count records FoldIn already absorbed — decline
 	// (ties included) and let the full refit rebuild from scratch.
 	if prev.LastStart.IsZero() || !tail[0].Start.After(prev.LastStart) {
-		return nil, errNotEligible
+		return nil, &declineError{fullOutOfOrder, errNotEligible}
 	}
 	// Mirror fitTarget: eligibility and context come from the same filtered
 	// view the full path fits on, so family comparisons are like-for-like
 	// across generations and the ST feature context stays consistent.
 	fitWin, _ := filterVerdicts(window, cfg)
 	if dominantFamily(fitWin) != prev.Family {
-		return nil, fmt.Errorf("%w: dominant family changed", errNotEligible)
+		return nil, &declineError{fullFamilyChanged, fmt.Errorf("%w: dominant family changed", errNotEligible)}
 	}
 	tailFiltered := 0
 	if len(fitWin) < len(window) { // the verdict filter engaged on this window
@@ -173,17 +237,17 @@ func fitTargetIncremental(prev *TargetModels, as astopo.AS, window []trace.Attac
 		}
 		tailFiltered = len(tail) - len(clean)
 		if len(clean) == 0 {
-			return nil, fmt.Errorf("%w: tail entirely alerted", errNotEligible)
+			return nil, &declineError{fullTail, fmt.Errorf("%w: tail entirely alerted", errNotEligible)}
 		}
 		tail = clean
 	}
 	tm, err := core.IncrementalTemporal(prev.Temporal, tail, cfg.DriftRatio)
 	if err != nil {
-		return nil, fmt.Errorf("serve: AS%d incremental temporal: %w", as, err)
+		return nil, foldError(as, "temporal", err)
 	}
 	sm, err := core.IncrementalSpatial(prev.Spatial, tail, warmEpochs, cfg.DriftRatio)
 	if err != nil {
-		return nil, fmt.Errorf("serve: AS%d incremental spatial: %w", as, err)
+		return nil, foldError(as, "spatial", err)
 	}
 	return &TargetModels{
 		AS:         as,

@@ -12,14 +12,15 @@ import (
 	"repro/internal/trace"
 )
 
-// scheduler is the background refit engine. Ingest marks targets stale;
-// the scheduler coalesces marks per target, queues them on a bounded
-// channel, drains the queue in batches, refits every target of a batch
-// concurrently on the parallel worker pool, and publishes the whole batch
-// with one snapshot swap. The queue depth bounds memory; the lag counter
-// (queued + in-flight refits) drives admission: past the watermark the
-// HTTP layer sheds ingest load with 429 instead of letting the refit
-// backlog grow without bound.
+// scheduler is the background refit engine. Ingest marks a target after
+// RefitEvery new records, and a sweep marks every target whose oldest
+// unread record has waited staleAfter; the scheduler coalesces marks per
+// target, queues them on a bounded channel, drains the queue in batches,
+// refits every target of a batch concurrently on the parallel worker
+// pool, and publishes the whole batch with one snapshot swap. The queue
+// depth bounds memory; the lag counter (queued + in-flight refits) drives
+// admission: past the watermark the HTTP layer sheds ingest load with 429
+// instead of letting the refit backlog grow without bound.
 type scheduler struct {
 	store  *Store
 	reg    *Registry
@@ -31,13 +32,22 @@ type scheduler struct {
 
 	queue   chan astopo.AS
 	mu      sync.Mutex
-	pending map[astopo.AS]bool // targets queued but not yet picked up
+	pending map[astopo.AS]bool // targets marked whose refit has not read its window yet
 	lag     atomic.Int64       // queued + in-flight targets
 
-	stop     chan struct{}
-	done     chan struct{}
+	ticker *time.Ticker  // drives sweep every staleAfter/4; tests Stop it and call sweep themselves
+	stale  []astopo.AS   // sweep's reused buffer
+	stop   chan struct{} // closed by Stop
+	done   chan struct{} // closed when run returns
+
 	stopOnce sync.Once
 }
+
+// staleAfter is the refit freshness deadline: a target whose oldest
+// unread record has waited this long is queued even if it has fewer than
+// RefitEvery new records. The sweep that enforces it runs every
+// staleAfter/4 and costs O(targets).
+const staleAfter = time.Second
 
 func newScheduler(store *Store, reg *Registry, promo *promoTracker, cfg Config, tel *telemetry, tracer *obs.Tracer) *scheduler {
 	s := &scheduler{
@@ -49,6 +59,7 @@ func newScheduler(store *Store, reg *Registry, promo *promoTracker, cfg Config, 
 		tracer:  tracer,
 		queue:   make(chan astopo.AS, cfg.QueueDepth),
 		pending: make(map[astopo.AS]bool, cfg.QueueDepth),
+		ticker:  time.NewTicker(staleAfter / 4),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
@@ -70,16 +81,21 @@ func (s *scheduler) fitOnline(as astopo.AS, window []trace.Attack, total uint64,
 	prev, _ := s.reg.Lookup(as)
 	var tm *TargetModels
 	var err error
-	if cfg.IncrementalRefit && prev != nil {
-		tm, err = fitTargetIncremental(prev, as, window, total, gen, cfg)
-		if err != nil {
-			tm = nil // any failure — ineligibility or drift — means full refit
+	reason := fullFirstFit
+	if prev != nil {
+		reason = fullIncrementalOff
+		if cfg.IncrementalRefit {
+			// Any failure, ineligibility or drift, means a full refit.
+			if tm, err = fitTargetIncremental(prev, as, window, total, gen, cfg); err != nil {
+				reason = fullReasonOf(err)
+			}
 		}
 	}
 	if tm == nil {
 		if tm, err = fitTarget(prev, as, window, total, gen, cfg); err != nil {
 			return nil, err
 		}
+		s.tel.refitFull.With(reason).Inc()
 	}
 	var prevChamps Champions
 	var history []Promotion
@@ -93,32 +109,86 @@ func (s *scheduler) fitOnline(as astopo.AS, window []trace.Attack, total uint64,
 	return tm, nil
 }
 
-// TryEnqueue marks a target for refit. Marks for an already-queued target
-// coalesce (the refit will read the latest window anyway). A full queue
-// drops the mark and reports false; the target stays stale and the next
-// ingest for it will try again.
+// TryEnqueue marks a target for refit without waiting: the ingest path's
+// mark. A full queue drops the mark and reports false; the target stays
+// unread, so its next record or the staleness sweep tries again.
 func (s *scheduler) TryEnqueue(as astopo.AS) bool {
+	_, ok := s.enqueue(as, false)
+	return ok
+}
+
+// enqueue marks a target for refit. A mark for a target that is already
+// pending coalesces (its refit has not read its window yet, so it will
+// cover the new records) and reports fresh false. A full queue drops the
+// mark, or with wait set (boot and fail-over, which must queue every
+// ready target) blocks until there is room or the scheduler stops; ok is
+// false when the mark was not queued.
+func (s *scheduler) enqueue(as astopo.AS, wait bool) (fresh, ok bool) {
 	s.mu.Lock()
 	if s.pending[as] {
 		s.mu.Unlock()
-		return true
+		return false, true
 	}
 	s.pending[as] = true
 	s.mu.Unlock()
-	select {
-	case s.queue <- as:
-		// The lag gauge is derived from s.lag at scrape time (Service.New
-		// registers an OnScrape hook); setting it here too would race other
-		// enqueues/drains into stale-last-writer values.
-		s.lag.Add(1)
-		return true
-	default:
-		s.mu.Lock()
-		delete(s.pending, as)
-		s.mu.Unlock()
-		s.tel.refitsDropped.Inc()
-		return false
+	// The lag gauge is derived from s.lag at scrape time (Service.New
+	// registers an OnScrape hook); setting it here too would race other
+	// enqueues/drains into stale-last-writer values.
+	if wait {
+		select {
+		case s.queue <- as:
+			s.lag.Add(1)
+			return true, true
+		case <-s.stop:
+		}
+	} else {
+		select {
+		case s.queue <- as:
+			s.lag.Add(1)
+			return true, true
+		default:
+			s.tel.refitsDropped.Inc()
+		}
 	}
+	s.mu.Lock()
+	delete(s.pending, as)
+	s.mu.Unlock()
+	return false, false
+}
+
+// sweep enforces the freshness deadline at monotonic time now (monoNow):
+// it queues every target holding at least MinWindow records whose oldest
+// unread record arrived staleAfter or more before now. It stops at the
+// first mark a full queue drops, so an overloaded queue is not rescanned
+// and ddosd_refits_dropped_total counts marks, not sweep retries.
+func (s *scheduler) sweep(now time.Duration) {
+	s.stale = s.stale[:0]
+	s.store.eachUnread(s.cfg.MinWindow, func(as astopo.AS, stamp time.Duration, _ int) {
+		if now-stamp >= staleAfter {
+			s.stale = append(s.stale, as)
+		}
+	})
+	for _, as := range s.stale {
+		fresh, ok := s.enqueue(as, false)
+		if !ok {
+			return
+		}
+		if fresh {
+			s.tel.refitDeadline.Inc()
+		}
+	}
+}
+
+// read starts one target's refit: it clears the target's pending mark and
+// reads its window as one step, under s.mu and then the shard lock. A mark
+// made before the read coalesced into this refit; a record ingested after
+// it counts toward the next one. Ingest calls TryEnqueue only after
+// releasing its shard locks, so this lock order has no inverse.
+func (s *scheduler) read(as astopo.AS) ([]trace.Attack, uint64, time.Duration) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.pending, as)
+	return s.store.readForRefit(as)
 }
 
 // Overloaded reports whether the refit backlog has crossed the admission
@@ -154,10 +224,13 @@ func (s *scheduler) Flush() {
 
 func (s *scheduler) run() {
 	defer close(s.done)
+	defer s.ticker.Stop()
 	for {
 		select {
 		case <-s.stop:
 			return
+		case <-s.ticker.C:
+			s.sweep(monoNow())
 		case first := <-s.queue:
 			batch := s.collectBatch(first)
 			s.refitBatch(batch)
@@ -181,18 +254,15 @@ func (s *scheduler) collectBatch(first astopo.AS) []astopo.AS {
 }
 
 // refitBatch fits every target of the batch on the worker pool and
-// publishes the survivors with a single atomic snapshot swap. The whole
-// batch is one "refit" trace: a "fit" child per target (workers open
-// children concurrently) and a "publish" child for the snapshot swap.
+// publishes the survivors with a single atomic snapshot swap. Each
+// target's pending mark stays set until its worker reads its window
+// (read), so a target still waiting in the batch absorbs new marks. A fit
+// that fails publishes nothing, and its read still counts: the target
+// queues again after RefitEvery more records or on its next record's
+// deadline. The whole batch is one "refit" trace: a "fit" child per
+// target (workers open children concurrently) and a "publish" child for
+// the snapshot swap.
 func (s *scheduler) refitBatch(batch []astopo.AS) {
-	// A target is in-flight from here: clear its pending mark so records
-	// arriving during the refit can re-queue it.
-	s.mu.Lock()
-	for _, as := range batch {
-		delete(s.pending, as)
-	}
-	s.mu.Unlock()
-
 	root := s.tracer.Start(StageRefit)
 	root.SetAttr("targets", strconv.Itoa(len(batch)))
 
@@ -203,12 +273,12 @@ func (s *scheduler) refitBatch(batch []astopo.AS) {
 		gens[i] = s.reg.NextGeneration()
 	}
 	fitted := make([]*TargetModels, len(batch))
-	totals := make([]uint64, len(batch))
+	stamps := make([]time.Duration, len(batch))
 	_ = parallel.ForEach(len(batch), s.cfg.RefitWorkers, func(i int) error {
 		span := root.Child(StageFit)
 		span.SetAttr("as", strconv.FormatUint(uint64(batch[i]), 10))
 		start := time.Now()
-		window, total := s.store.Window(batch[i])
+		window, total, stamp := s.read(batch[i])
 		tm, err := s.fit(batch[i], window, total, gens[i], s.cfg)
 		if err != nil {
 			s.tel.refitErrors.Inc()
@@ -217,7 +287,7 @@ func (s *scheduler) refitBatch(batch []astopo.AS) {
 			return nil // not-ready targets are routine, not batch failures
 		}
 		fitted[i] = tm
-		totals[i] = total
+		stamps[i] = stamp
 		s.tel.refitSeconds.Observe(time.Since(start).Seconds())
 		span.SetAttr("outcome", "published")
 		span.SetAttr("generation", strconv.FormatUint(tm.Generation, 10))
@@ -227,13 +297,16 @@ func (s *scheduler) refitBatch(batch []astopo.AS) {
 	pub := root.Child(StagePublish)
 	s.reg.Publish(fitted)
 	pub.End()
+	now := monoNow()
 	published := 0
 	for i, as := range batch {
 		tm := fitted[i]
 		if tm == nil {
 			continue
 		}
-		s.store.MarkRefitted(as, totals[i])
+		if stamps[i] != 0 {
+			s.tel.staleness.Observe((now - stamps[i]).Seconds())
+		}
 		s.tel.refitsDone.Inc()
 		published++
 		switch {

@@ -131,20 +131,28 @@ func TestStoreMarkRefitted(t *testing.T) {
 	s := NewStore(1, 16)
 	attacks := mkAttacks(64512, 0, 5)
 	var since int
-	for i := range attacks {
+	for i := range attacks[:3] {
 		since, _, _ = s.Ingest(&attacks[i])
 	}
-	if since != 5 {
-		t.Fatalf("sinceRefit %d, want 5", since)
+	if since != 3 {
+		t.Fatalf("sinceRefit %d, want 3", since)
 	}
-	// A refit that read the window at total 3 leaves the 2 later records
-	// counting.
-	s.MarkRefitted(64512, 3)
+	// A refit's window read is its mark: the read at total 3 leaves the 2
+	// records ingested while the refit runs counting.
+	if win, total, stamp := s.readForRefit(64512); len(win) != 3 || total != 3 || stamp == 0 {
+		t.Fatalf("refit read %d records at total %d, stamp %v; want 3 at 3, stamp set", len(win), total, stamp)
+	}
+	for i := range attacks[3:] {
+		since, _, _ = s.Ingest(&attacks[3+i])
+	}
+	if since != 2 {
+		t.Fatalf("sinceRefit after a read at total 3 and 2 more = %d, want 2", since)
+	}
 	more := mkAttacks(64512, 100, 1)
 	more[0].Start = attacks[4].Start.Add(time.Hour)
 	since, _, _ = s.Ingest(&more[0])
 	if since != 3 {
-		t.Fatalf("sinceRefit after a mark at total 3 = %d, want 3 (5-3+1)", since)
+		t.Fatalf("sinceRefit after a read at total 3 = %d, want 3 (5-3+1)", since)
 	}
 }
 

@@ -2,8 +2,9 @@
 // sharded per-target state store holding each target network's rolling
 // attack window, a model registry serving forecasts lock-free from an
 // atomically swapped snapshot, and a background refit scheduler that
-// refits stale targets after every K ingested records with bounded-queue
-// admission and load shedding. It turns the repository's batch models
+// refits a target after every K ingested records or once its oldest
+// unread record is a second old, with bounded-queue admission and load
+// shedding. It turns the repository's batch models
 // (ARIMA temporal, NAR spatial, CART spatiotemporal) into an operational
 // early-warning service: ingest attack records as they are verified, read
 // next-attack forecasts per target at any time. See DESIGN.md §7.
@@ -43,7 +44,8 @@ type Config struct {
 	// attempted (the walk-forward sample construction needs headroom).
 	// Default 32.
 	MinSTWindow int
-	// RefitEvery re-queues a target after this many new records. Default 8.
+	// RefitEvery re-queues a target after this many new records (or
+	// sooner, on the staleness deadline). Default 8.
 	RefitEvery int
 	// QueueDepth bounds the refit queue. Default 256.
 	QueueDepth int
@@ -236,11 +238,18 @@ type telemetry struct {
 	traceDropped   *metrics.Counter
 
 	// Online model-layer instruments (DESIGN.md §15): incremental-refit
-	// volume, full refits that searched the NAR topology, and champion
-	// promotions by the kind promoted to.
+	// volume, full refits by the reason they ran, full refits that searched
+	// the NAR topology, and champion promotions by the kind promoted to.
 	refitIncremental *metrics.Counter
+	refitFull        *metrics.CounterVec
 	refitSearches    *metrics.Counter
 	promotions       *metrics.CounterVec
+
+	// Freshness instruments (DESIGN.md §7): how long the oldest record a
+	// publish newly covers waited for it, and the marks the staleness
+	// deadline made.
+	staleness     *metrics.Histogram
+	refitDeadline *metrics.Counter
 
 	// stageSecs splits pipeline latency by stage; stages caches the
 	// children so the ingest hot path skips the vec lookup.
@@ -303,6 +312,12 @@ func newTelemetry(stageBuckets []float64) *telemetry {
 		targetsEvicted: r.Counter("ddosd_targets_evicted_total", "Targets evicted from the state store under -max-targets."),
 		refitIncremental: r.Counter("ddosd_refit_incremental_total",
 			"Refits that took the incremental fold-in path instead of a full re-estimation."),
+		refitFull: r.CounterVec("ddosd_refit_full_total",
+			"Refits that ran as a full re-estimation, by why the incremental path did not run (first_fit, incremental_off, cap, tail, out_of_order, family_changed, fold_error, drift_temporal_<series>, drift_spatial_<series>).", "reason"),
+		staleness: r.Histogram("ddosd_forecast_staleness_seconds",
+			"Per published target: publish time minus the arrival of the oldest record its refit read that no earlier refit had read.", nil),
+		refitDeadline: r.Counter("ddosd_refit_deadline_total",
+			"Targets the staleness deadline queued for refit that were not already marked."),
 		refitSearches: r.Counter("ddosd_refit_searches_total",
 			"Full refits that grid-searched the NAR delays and hidden nodes instead of carrying the previous generation's topology (first fits included)."),
 		promotions: r.CounterVec("ddosd_model_promotions_total",
@@ -359,6 +374,9 @@ func newTelemetry(stageBuckets []float64) *telemetry {
 	}
 	for _, kind := range promoKinds() {
 		t.promotions.With(kind)
+	}
+	for _, reason := range fullReasons() {
+		t.refitFull.With(reason)
 	}
 	return t
 }

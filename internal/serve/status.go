@@ -2,8 +2,10 @@ package serve
 
 import (
 	"net/http"
+	"sort"
 	"time"
 
+	"repro/internal/astopo"
 	"repro/internal/obs"
 	"repro/internal/wal"
 )
@@ -69,6 +71,29 @@ type ModelLayerStatus struct {
 	IncrementalServing int `json:"incremental_serving"`
 }
 
+// StaleTarget is one target waiting on the refit freshness deadline.
+type StaleTarget struct {
+	AS astopo.AS `json:"as"`
+	// Unread counts the records ingested since the target's last refit read.
+	Unread int `json:"unread"`
+	// AgeSec is how long the oldest of them has waited.
+	AgeSec float64 `json:"age_s"`
+}
+
+// RefitStatus is the /statusz refit section: which targets are past the
+// freshness deadline (staleAfter) and not yet refit.
+type RefitStatus struct {
+	// StaleTargets counts targets holding at least MinWindow records whose
+	// oldest unread record is staleAfter old or older.
+	StaleTargets int `json:"stale_targets"`
+	// Stalest lists the maxStalest targets with the oldest unread records,
+	// oldest first, stale or not.
+	Stalest []StaleTarget `json:"stalest,omitempty"`
+}
+
+// maxStalest bounds the refit section's stalest list.
+const maxStalest = 5
+
 // NodeStatus is the /statusz response body for one node.
 type NodeStatus struct {
 	Health   Health              `json:"health"`
@@ -76,6 +101,7 @@ type NodeStatus struct {
 	Detect   AlertsReport        `json:"detect"`
 	Accuracy AccuracyStatus      `json:"accuracy"`
 	Models   ModelLayerStatus    `json:"models"`
+	Refit    RefitStatus         `json:"refit"`
 	Runtime  obs.RuntimeSnapshot `json:"runtime"`
 	Build    obs.BuildProvenance `json:"build"`
 }
@@ -108,7 +134,31 @@ func (s *Service) NodeStatus() NodeStatus {
 	snap := s.acc.Snapshot()
 	st.Accuracy = AccuracyStatus{AccuracySnapshot: *snap, Winners: accuracyWinners(*snap)}
 	st.Models = s.modelLayerStatus()
+	st.Refit = s.refitStatus(monoNow())
 	return st
+}
+
+// refitStatus reads the refit section at monotonic time now (monoNow).
+func (s *Service) refitStatus(now time.Duration) RefitStatus {
+	var rs RefitStatus
+	var unread []StaleTarget
+	s.store.eachUnread(s.cfg.MinWindow, func(as astopo.AS, stamp time.Duration, n int) {
+		if now-stamp >= staleAfter {
+			rs.StaleTargets++
+		}
+		unread = append(unread, StaleTarget{AS: as, Unread: n, AgeSec: (now - stamp).Seconds()})
+	})
+	sort.Slice(unread, func(i, j int) bool {
+		if unread[i].AgeSec != unread[j].AgeSec {
+			return unread[i].AgeSec > unread[j].AgeSec
+		}
+		return unread[i].AS < unread[j].AS
+	})
+	if len(unread) > maxStalest {
+		unread = unread[:maxStalest]
+	}
+	rs.Stalest = unread
+	return rs
 }
 
 // modelLayerStatus aggregates the published snapshot's champion

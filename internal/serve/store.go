@@ -51,7 +51,8 @@ type storeShard struct {
 type targetState struct {
 	attacks    []trace.Attack // rolling window, chronological
 	total      uint64         // all-time ingested (after dedup)
-	sinceRefit int            // records ingested after the last completed refit's window read
+	sinceRefit int            // records ingested after the last refit's window read
+	unread     time.Duration  // monoNow() at the arrival of the oldest record no refit has read; 0 = none
 
 	magSum  float64 // sum of magnitudes over the current window
 	durSum  float64 // sum of durations over the current window
@@ -67,6 +68,14 @@ type targetState struct {
 	// Window and Checkpoint copies stay valid after later inserts.
 	bots []astopo.IPv4
 }
+
+// monoBase anchors monoNow.
+var monoBase = time.Now()
+
+// monoNow reads the monotonic clock as the time since the process
+// started, never 0, so a zero targetState.unread means "no unread record".
+// Wall-clock steps cannot move it.
+func monoNow() time.Duration { return time.Since(monoBase) + 1 }
 
 // botChunk is the bot-IP capacity of one bot chunk.
 const botChunk = 128
@@ -267,6 +276,9 @@ func (s *Store) ingestLocked(sh *storeShard, a *trace.Attack) (sinceRefit, windo
 	}
 	ts.total++
 	ts.sinceRefit++
+	if ts.unread == 0 {
+		ts.unread = monoNow()
+	}
 	if s.maxTargets > 0 {
 		ts.touch = s.seq.Add(1)
 	}
@@ -315,20 +327,40 @@ func (s *Store) Window(as astopo.AS) ([]trace.Attack, uint64) {
 	return out, ts.total
 }
 
-// MarkRefitted records a refit of the window read together with the
-// all-time ingest count total (Window's second result): the target's
-// since-refit counter becomes the number of records ingested after that
-// read, so records that arrived while the refit ran keep counting toward
-// the next one.
-func (s *Store) MarkRefitted(as astopo.AS, total uint64) {
+// readForRefit is Window for a refit: the read is the refit's mark. It
+// zeroes the target's since-refit count and clears its unread stamp, so
+// records ingested after the read count toward the next refit, and it
+// returns the stamp it cleared (0 when every record had been read).
+func (s *Store) readForRefit(as astopo.AS) ([]trace.Attack, uint64, time.Duration) {
 	sh := s.shardFor(as)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if ts := sh.targets[as]; ts != nil {
-		ts.sinceRefit = 0
-		if ts.total > total {
-			ts.sinceRefit = int(ts.total - total)
+	ts := sh.targets[as]
+	if ts == nil {
+		return nil, 0, 0
+	}
+	out := make([]trace.Attack, len(ts.attacks))
+	copy(out, ts.attacks)
+	stamp := ts.unread
+	ts.sinceRefit, ts.unread = 0, 0
+	return out, ts.total, stamp
+}
+
+// eachUnread calls fn for every target that holds at least minWindow
+// records and has a record no refit has read, with that record's arrival
+// stamp (monoNow) and the records ingested since the target's last refit
+// read. fn runs under the target's shard lock: it must not re-enter the
+// store or the scheduler.
+func (s *Store) eachUnread(minWindow int, fn func(as astopo.AS, stamp time.Duration, unread int)) {
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		for as, ts := range sh.targets {
+			if ts.unread != 0 && len(ts.attacks) >= minWindow {
+				fn(as, ts.unread, ts.sinceRefit)
+			}
 		}
+		sh.mu.Unlock()
 	}
 }
 

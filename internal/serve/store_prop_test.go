@@ -175,47 +175,68 @@ func TestStoreWindowEvictsOldest(t *testing.T) {
 	}
 }
 
-// TestStoreRefitCounters pins the sinceRefit bookkeeping the scheduler
-// relies on: MarkRefitted takes the all-time total read with the refit's
-// window and leaves sinceRefit at the number of records ingested after
-// that read, so records ingested mid-refit still count toward the next one.
+// TestStoreRefitCounters pins the since-refit bookkeeping the scheduler
+// relies on: a refit's window read is its mark. The read zeroes the
+// since-refit count and clears the unread stamp, returning the stamp it
+// cleared, so only records ingested after the read count toward the next
+// refit and stamp the next deadline.
 func TestStoreRefitCounters(t *testing.T) {
-	st := NewStore(2, 16)
-	as := astopo.AS(64998)
-	var since int
-	for i := 0; i < 5; i++ {
-		r := propRecord(as, i)
-		since, _, _ = st.Ingest(&r)
+	const as = astopo.AS(64998)
+	for _, tc := range []struct {
+		name      string
+		steps     []int // n > 0 ingests n new records; 0 is a refit read
+		wantSince int
+		wantStamp bool // an unread stamp is set after the steps
+	}{
+		{"ingest only", []int{5}, 5, true},
+		{"the read clears", []int{5, 0}, 0, false},
+		{"records after the read count", []int{5, 0, 2}, 2, true},
+		{"records between two reads", []int{5, 0, 2, 0, 1}, 1, true},
+		{"a read of nothing new", []int{5, 0, 0}, 0, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := NewStore(2, 16)
+			state := func() (int, time.Duration) {
+				sh := st.shardFor(as)
+				sh.mu.Lock()
+				defer sh.mu.Unlock()
+				ts := sh.targets[as]
+				return ts.sinceRefit, ts.unread
+			}
+			n, unreadSinceRead := 0, 0
+			for _, step := range tc.steps {
+				if step > 0 {
+					for k := 0; k < step; k++ {
+						r := propRecord(as, n)
+						st.Ingest(&r)
+						n++
+					}
+					unreadSinceRead += step
+					continue
+				}
+				_, before := state()
+				win, total, stamp := st.readForRefit(as)
+				if len(win) != n || total != uint64(n) {
+					t.Fatalf("read %d records at total %d, want %d", len(win), total, n)
+				}
+				if stamp != before || (stamp != 0) != (unreadSinceRead > 0) {
+					t.Fatalf("read returned stamp %v (held %v) with %d unread records", stamp, before, unreadSinceRead)
+				}
+				unreadSinceRead = 0
+			}
+			since, stamp := state()
+			if since != tc.wantSince || (stamp != 0) != tc.wantStamp {
+				t.Fatalf("sinceRefit %d, stamp %v; want %d, stamp set %v", since, stamp, tc.wantSince, tc.wantStamp)
+			}
+			// A duplicate is not a new record: it neither counts nor stamps.
+			dup := propRecord(as, n-1)
+			st.Ingest(&dup)
+			if s2, stamp2 := state(); s2 != since || stamp2 != stamp {
+				t.Fatalf("duplicate moved sinceRefit %d→%d, stamp %v→%v", since, s2, stamp, stamp2)
+			}
+		})
 	}
-	if since != 5 {
-		t.Fatalf("sinceRefit %d after 5 ingests, want 5", since)
-	}
-	_, read := st.Window(as)
-	for i := 5; i < 7; i++ { // two records arrive while the refit runs
-		r := propRecord(as, i)
-		st.Ingest(&r)
-	}
-	st.MarkRefitted(as, read)
-	r := propRecord(as, 7)
-	since, _, _ = st.Ingest(&r)
-	if since != 3 {
-		t.Fatalf("sinceRefit %d after a refit that read 5 of 7, then 1 more, want 3", since)
-	}
-	_, read = st.Window(as)
-	st.MarkRefitted(as, read)
-	r = propRecord(as, 8)
-	since, _, _ = st.Ingest(&r)
-	if since != 1 {
-		t.Fatalf("sinceRefit %d after a refit that read everything, then 1 more, want 1", since)
-	}
-	st.MarkRefitted(as, 100) // a total beyond the target's clamps at zero
-	r = propRecord(as, 9)
-	since, _, _ = st.Ingest(&r)
-	if since != 1 {
-		t.Fatalf("sinceRefit %d after clamp, want 1", since)
-	}
-	st.MarkRefitted(astopo.AS(1), 1) // unknown target is a no-op
-	if _, total := st.Window(as); total != 10 {
-		t.Fatalf("total %d, want 10", total)
+	if win, total, stamp := NewStore(2, 16).readForRefit(as); win != nil || total != 0 || stamp != 0 {
+		t.Fatalf("read of an unknown target = %d records, total %d, stamp %v; want nothing", len(win), total, stamp)
 	}
 }
