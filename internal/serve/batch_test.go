@@ -646,13 +646,11 @@ func newZeroAllocHarness(t testing.TB, nBodies int, mutate ...func(*Config)) (*S
 	return svc, bodies, trace.NewBatchDecoder()
 }
 
-// BenchmarkIngestBatchBinary measures the server-side binary hot path —
-// batch decode + vectorized store/WAL apply — in records/second and
-// allocs/record (the numbers BENCH_6.json checks in).
-// BenchmarkIngestScalarJSON measures the status-quo path the binary wire
-// replaces — per-record json.Unmarshal + scalar Ingest + per-record WAL
-// append — over the same record stream as BenchmarkIngestBatchBinary, so
-// scripts/bench.sh can merge both into BENCH_6.json.
+// BenchmarkIngestScalarJSON measures one-record-at-a-time ingest: each
+// record is json.Unmarshal'ed and applied with Service.Ingest, a batch of
+// one with its own WAL append. It runs over the same record stream as
+// BenchmarkIngestBatchBinary, so scripts/bench.sh can merge both into
+// BENCH_6.json; the name is the one that script parses.
 func BenchmarkIngestScalarJSON(b *testing.B) {
 	svc, bodies, dec := newZeroAllocHarness(b, 512)
 	var r bytes.Reader
@@ -691,6 +689,9 @@ func BenchmarkIngestScalarJSON(b *testing.B) {
 	b.ReportMetric(recs/b.Elapsed().Seconds(), "rec/s")
 }
 
+// BenchmarkIngestBatchBinary measures the server-side binary hot path —
+// batch decode + vectorized store/WAL apply — in records/second and
+// allocs/record (the numbers BENCH_6.json checks in).
 func BenchmarkIngestBatchBinary(b *testing.B) {
 	svc, bodies, dec := newZeroAllocHarness(b, 512)
 	var r bytes.Reader

@@ -364,8 +364,9 @@ func TestIngestWALFailureMapsTo500(t *testing.T) {
 
 // TestWALPoisonAnswers500And503: once an fsync of the attached WAL
 // fails, no ingest on either wire is acked (500, ErrNotDurable) even
-// after the device recovers, /healthz answers 503, and the
-// ddosd_wal_failed gauge reads 1.
+// after the device recovers, /healthz answers 503, /statusz reports the
+// same wal_failed health (answering 200, which the fleet fan-out needs),
+// and the ddosd_wal_failed gauge reads 1.
 func TestWALPoisonAnswers500And503(t *testing.T) {
 	svc := New(testConfig())
 	defer svc.Close()
@@ -423,6 +424,12 @@ func TestWALPoisonAnswers500And503(t *testing.T) {
 	}
 	if h := decodeBody[Health](t, resp); resp.StatusCode != http.StatusServiceUnavailable || h.Status != "wal_failed" || h.WALError == "" {
 		t.Fatalf("/healthz of a poisoned WAL: status %d body %+v, want 503 wal_failed", resp.StatusCode, h)
+	}
+	if resp, err = http.Get(srv.URL + "/statusz"); err != nil {
+		t.Fatal(err)
+	}
+	if st := decodeBody[NodeStatus](t, resp); resp.StatusCode != http.StatusOK || st.Health.Status != "wal_failed" || st.Health.WALError == "" {
+		t.Fatalf("/statusz of a poisoned WAL: status %d health %+v, want 200 with wal_failed", resp.StatusCode, st.Health)
 	}
 	var sb strings.Builder
 	svc.MetricsRegistry().WriteText(&sb)

@@ -42,12 +42,11 @@ func fitTarget(prev *TargetModels, as astopo.AS, window []trace.Attack, total ui
 	}
 
 	// Spatiotemporal stage first: it fits throwaway prefix models, and a
-	// failure here only disables the tree (and its stacked ensemble),
-	// never the whole target. Its prefix spatial fit runs the grid for
-	// every series topo leaves zero, and the window fit below reuses the
-	// prefix's choice, so the topology never sees the records the walk
-	// labels.
-	st, ens, prefixTopo := fitSTModels(as, fitWin, topo, cfg)
+	// failure here only disables the tree, never the whole target. Its
+	// prefix spatial fit runs the grid for every series topo leaves zero,
+	// and the window fit below reuses the prefix's choice, so the topology
+	// never sees the records the walk labels.
+	st, prefixTopo := fitSTModels(as, fitWin, topo, cfg)
 	if prefixTopo != (core.SpatialTopology{}) {
 		topo = prefixTopo
 	}
@@ -66,7 +65,6 @@ func fitTarget(prev *TargetModels, as astopo.AS, window []trace.Attack, total ui
 		Temporal:   tm,
 		Spatial:    sm,
 		ST:         st,
-		Ensemble:   ens,
 		Ctx:        core.ContextOf(fitWin),
 		Window:     len(window),
 		Total:      total,
@@ -190,12 +188,11 @@ func foldError(as astopo.AS, model string, err error) error {
 
 // fitTargetIncremental folds only the records that arrived since the
 // previous generation into clones of its models — O(new records) instead
-// of O(window) — keeping the previous spatiotemporal tree and ensemble
-// (they are re-estimated on the periodic full refit). Eligibility is
-// strict: there must be a genuinely small in-order tail, the family must
-// be stable, and the per-series drift diagnostics must stay quiet;
-// anything else returns a *declineError naming the reason, and the caller
-// runs the full fit.
+// of O(window) — keeping the previous spatiotemporal tree (it is
+// re-estimated on the periodic full refit). Eligibility is strict: there
+// must be a genuinely small in-order tail, the family must be stable, and
+// the per-series drift diagnostics must stay quiet; anything else returns
+// a *declineError naming the reason, and the caller runs the full fit.
 func fitTargetIncremental(prev *TargetModels, as astopo.AS, window []trace.Attack, total uint64, gen uint64, cfg Config) (*TargetModels, error) {
 	if prev == nil {
 		return nil, &declineError{fullFirstFit, errNotEligible}
@@ -254,8 +251,7 @@ func fitTargetIncremental(prev *TargetModels, as astopo.AS, window []trace.Attac
 		Family:     prev.Family,
 		Temporal:   tm,
 		Spatial:    sm,
-		ST:         prev.ST,       // immutable; re-fit on the next full refit
-		Ensemble:   prev.Ensemble, // immutable; re-fit on the next full refit
+		ST:         prev.ST, // immutable; re-fit on the next full refit
 		Ctx:        core.ContextOf(fitWin),
 		Window:     len(window),
 		Total:      total,
@@ -302,29 +298,29 @@ func dominantFamily(window []trace.Attack) string {
 }
 
 // fitSTModels grows the target's model trees from the walk-forward samples
-// stSamples builds; the same samples feed the stacked ensemble combiners.
-// It also returns the topology of stSamples' prefix spatial model (zero
-// when there was none). Returns nil models when the window is too short
-// or any stage fails — the target then serves component forecasts.
+// stSamples builds. It also returns the topology of stSamples' prefix
+// spatial model (zero when there was none). Returns a nil tree when the
+// window is too short or any stage fails — the target then serves
+// component forecasts.
 const (
 	stFitFrac    = 0.6
 	stMinWindow  = 24
 	stMinSamples = 10
 )
 
-func fitSTModels(as astopo.AS, window []trace.Attack, topo core.SpatialTopology, cfg Config) (*core.Spatiotemporal, *Ensemble, core.SpatialTopology) {
+func fitSTModels(as astopo.AS, window []trace.Attack, topo core.SpatialTopology, cfg Config) (*core.Spatiotemporal, core.SpatialTopology) {
 	if len(window) < stMinWindow || len(window) < cfg.MinSTWindow {
-		return nil, nil, core.SpatialTopology{}
+		return nil, core.SpatialTopology{}
 	}
 	samples, prefixTopo := stSamples(as, window, topo, cfg)
 	if len(samples) < stMinSamples {
-		return nil, nil, prefixTopo
+		return nil, prefixTopo
 	}
 	st, err := core.FitSpatiotemporal(samples, cfg.ST)
 	if err != nil {
-		return nil, nil, prefixTopo
+		return nil, prefixTopo
 	}
-	return st, fitEnsemble(samples, cfg), prefixTopo
+	return st, prefixTopo
 }
 
 // stSamples fits throwaway component models on the leading stFitFrac of

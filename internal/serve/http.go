@@ -293,12 +293,13 @@ func (s *Service) handleAlerts(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// Health is the /healthz response body. Cluster is present only when the
-// node runs in cluster mode (cluster.Status via SetClusterInfo): node
-// identity, ring epoch, peer count, replication lag — the fields smoke/CI
-// polls to wait on cluster formation. A node whose attached WAL an fsync
-// failure poisoned answers 503 with Status "wal_failed" and the error in
-// WALError: it can no longer ack anything as durable.
+// Health is the /healthz response body and the /statusz health section.
+// Cluster is present only when the node runs in cluster mode
+// (cluster.Status via SetClusterInfo): node identity, ring epoch, peer
+// count, replication lag — the fields smoke/CI polls to wait on cluster
+// formation. A node whose attached WAL an fsync failure poisoned reports
+// Status "wal_failed" with the error in WALError: it can no longer ack
+// anything as durable.
 type Health struct {
 	Status          string  `json:"status"`
 	WALError        string  `json:"wal_error,omitempty"`
@@ -312,19 +313,11 @@ type Health struct {
 	Cluster         any     `json:"cluster,omitempty"`
 }
 
-func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
+// health reads the node's Health.
+func (s *Service) health() Health {
 	s.updateTargetGauges()
-	code, status, walErr := http.StatusOK, "ok", ""
-	if err := s.walErr(); err != nil {
-		code, status, walErr = http.StatusServiceUnavailable, "wal_failed", err.Error()
-	}
-	writeJSON(w, code, &Health{
-		Status:          status,
-		WALError:        walErr,
+	h := Health{
+		Status:          "ok",
 		UptimeSec:       time.Since(s.start).Seconds(),
 		Shards:          s.store.Shards(),
 		TargetsKnown:    s.store.Len(),
@@ -333,7 +326,27 @@ func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		RefitLag:        s.sched.Lag(),
 		Shedding:        s.sched.Overloaded(),
 		Cluster:         s.clusterInfoValue(),
-	})
+	}
+	if err := s.walErr(); err != nil {
+		h.Status, h.WALError = "wal_failed", err.Error()
+	}
+	return h
+}
+
+// handleHealthz answers 503 for a poisoned WAL. /statusz reports the same
+// Health but always answers 200: the cluster's fleet fan-out reads any
+// other status as a dead peer.
+func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodGet {
+		writeError(w, http.StatusMethodNotAllowed, "GET only")
+		return
+	}
+	h := s.health()
+	code := http.StatusOK
+	if h.WALError != "" {
+		code = http.StatusServiceUnavailable
+	}
+	writeJSON(w, code, &h)
 }
 
 func (s *Service) updateTargetGauges() {

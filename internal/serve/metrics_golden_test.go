@@ -48,7 +48,7 @@ func TestMetricsGoldenExposition(t *testing.T) {
 	tel.targetsServed.Set(14)
 	tel.targetsEvicted.Add(2)
 	tel.refitIncremental.Add(45)
-	tel.promotions.With(ModelEnsemble).Add(3)
+	tel.promotions.With(ModelSpatial).Add(3)
 	tel.promotions.With(ModelTemporal).Inc()
 	for _, v := range []float64{0.0002, 0.004} {
 		tel.observeStage(StageIngest, v)

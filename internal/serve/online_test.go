@@ -1,8 +1,8 @@
 package serve
 
 // Tests for the online model layer (DESIGN.md §15): incremental refits,
-// the stacked ensemble, champion/challenger promotion, bounded-store
-// eviction, and the snapshot codec carrying the new provenance.
+// champion/challenger promotion, bounded-store eviction, and the snapshot
+// codec carrying the new provenance.
 
 import (
 	"bytes"
@@ -17,7 +17,6 @@ import (
 	"repro/internal/astopo"
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/regress"
 	"repro/internal/trace"
 )
 
@@ -406,7 +405,7 @@ func TestPromotionDeterminism(t *testing.T) {
 	const a, b = astopo.AS(64512), astopo.AS(64520)
 	run := func() map[astopo.AS]Provenance {
 		cfg := testConfig()
-		cfg.MinSTWindow = 24 // let the tree and ensemble engage
+		cfg.MinSTWindow = 24 // let the tree engage
 		cfg.PromoMinSamples = 4
 		cfg.IncrementalRefit = true
 		svc := New(cfg)
@@ -458,7 +457,7 @@ func badSpatiotemporal(t *testing.T, cfg Config) *core.Spatiotemporal {
 
 func TestDegradedSTPromotesComponentChampion(t *testing.T) {
 	// Acceptance: a target whose spatiotemporal stage degrades mid-stream
-	// ends with a component (or ensemble) champion serving each measure,
+	// ends with a component champion serving each measure,
 	// with the promotion recorded in provenance and metrics.
 	const as = astopo.AS(64512)
 	cfg := testConfig()
@@ -474,7 +473,6 @@ func TestDegradedSTPromotesComponentChampion(t *testing.T) {
 			// From here on, every published generation serves the degraded
 			// tree: its forecasts are ~1e6, wildly off the real regime.
 			tm.ST = bad
-			tm.Ensemble = nil
 			return tm, nil
 		}
 	}
@@ -521,18 +519,24 @@ func TestDegradedSTPromotesComponentChampion(t *testing.T) {
 	}
 }
 
-// --- snapshot codec: ensemble + provenance round-trip -------------------
+// --- snapshot codec: provenance round trip, legacy ensemble champions ---
 
+// TestSnapshotRoundTripEnsembleProvenance: provenance survives the
+// snapshot codec unchanged, and a snapshot written while the server had a
+// stacked ensemble still loads. Its "ensemble" object is ignored, and a
+// measure whose recorded champion is "ensemble" serves and reports the ST
+// composition (forecast values, /forecast provenance, /statusz models)
+// until the target's next refit decides again.
 func TestSnapshotRoundTripEnsembleProvenance(t *testing.T) {
 	cfg := testConfig().withDefaults()
-	window := mkAttacks(64512, 0, 12)
-	tm, err := fitTarget(nil, 64512, window, 12, 3, cfg)
+	cfg.MinSTWindow = 24 // let the tree engage, so ST serves the tree's values
+	window := mkAttacks(64512, 0, 64)
+	tm, err := fitTarget(nil, 64512, window, 64, 3, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tm.Ensemble = &Ensemble{
-		Mag:  &regress.SimplexModel{Weights: []float64{0.25, 0.75}, MSE: 1.5, N: 20},
-		Hour: &regress.SimplexModel{Weights: []float64{0.2, 0.3, 0.5}, MSE: 2.25, N: 20},
+	if tm.ST == nil {
+		t.Fatal("spatiotemporal tree did not engage on a 64-record window")
 	}
 	tm.Prov = Provenance{
 		Refit:           refitIncremental,
@@ -540,9 +544,9 @@ func TestSnapshotRoundTripEnsembleProvenance(t *testing.T) {
 		FoldedRecords:   4,
 		FilteredRecords: 1,
 		IncrSinceFull:   3,
-		Champions:       Champions{Magnitude: ModelEnsemble, Duration: ModelSpatial, Timestamp: ModelST},
+		Champions:       Champions{Magnitude: "ensemble", Duration: ModelSpatial, Timestamp: "ensemble"},
 		History: []Promotion{
-			{Measure: MeasureMagnitude, From: ModelST, To: ModelEnsemble, Generation: 3, Reason: "test"},
+			{Measure: MeasureMagnitude, From: ModelST, To: "ensemble", Generation: 3, Reason: "test"},
 		},
 	}
 	src := NewRegistry()
@@ -551,26 +555,29 @@ func TestSnapshotRoundTripEnsembleProvenance(t *testing.T) {
 	if err := src.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	dst := NewRegistry()
-	if err := dst.ReadSnapshot(bytes.NewReader(buf.Bytes())); err != nil {
+	// Splice in the combiners a snapshot of that era carried.
+	legacy := bytes.Replace(buf.Bytes(), []byte(`"prov":`),
+		[]byte(`"ensemble":{"mag":{"Weights":[0.25,0.75],"MSE":1.5,"N":20},"hour":{"Weights":[0.2,0.3,0.5],"MSE":2.25,"N":20}},"prov":`), 1)
+	if bytes.Equal(legacy, buf.Bytes()) {
+		t.Fatal("snapshot has no prov key to splice an ensemble before")
+	}
+	svc := New(testConfig())
+	defer svc.Close()
+	if err := svc.Registry().ReadSnapshot(bytes.NewReader(legacy)); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := dst.Lookup(64512)
+	got, ok := svc.Registry().Lookup(64512)
 	if !ok {
 		t.Fatal("target missing after round trip")
 	}
 	if !reflect.DeepEqual(got.Prov, tm.Prov) {
 		t.Fatalf("provenance mutated by codec:\ngot  %+v\nwant %+v", got.Prov, tm.Prov)
 	}
-	if !reflect.DeepEqual(got.Ensemble, tm.Ensemble) {
-		t.Fatalf("ensemble mutated by codec:\ngot  %+v\nwant %+v", got.Ensemble, tm.Ensemble)
-	}
-	// The restored generation serves the identical champion composition.
 	fcSrc, err := src.Forecast(64512)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fcDst, err := dst.Forecast(64512)
+	fcDst, err := svc.Forecast(64512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -583,36 +590,19 @@ func TestSnapshotRoundTripEnsembleProvenance(t *testing.T) {
 	if !bytes.Equal(srcJSON, dstJSON) {
 		t.Fatalf("provenance drifted across snapshot round trip:\nsrc %s\ndst %s", srcJSON, dstJSON)
 	}
-}
-
-// --- ensemble: fit on walk-forward samples ------------------------------
-
-func TestEnsembleFitsOnWalkForwardSamples(t *testing.T) {
-	cfg := testConfig().withDefaults()
-	cfg.MinSTWindow = 24
-	window := mkAttacks(64512, 0, 64)
-	st, ens, _ := fitSTModels(64512, window, core.SpatialTopology{}, cfg)
-	if st == nil {
-		t.Fatal("spatiotemporal stage did not engage on a 64-record window")
+	// The legacy "ensemble" champions serve and report ST.
+	p := got.preds()
+	if fcDst.Magnitude != p.STMag || fcDst.Hour != p.STHour || fcDst.Day != p.STDay || fcDst.DurationSec != max(0, p.SpaDur) {
+		t.Fatalf("served %+v, want ST magnitude/hour/day and spatial duration from %+v", fcDst, p)
 	}
-	if !ens.ready() {
-		t.Fatal("ensemble did not fit on the walk-forward samples")
+	want := Champions{Magnitude: ModelST, Duration: ModelSpatial, Timestamp: ModelST}
+	if fcDst.Provenance.Champions != want {
+		t.Fatalf("/forecast champions %+v, want %+v", fcDst.Provenance.Champions, want)
 	}
-	for name, m := range map[string]*regress.SimplexModel{
-		"mag": ens.Mag, "dur": ens.Dur, "hour": ens.Hour, "day": ens.Day,
-	} {
-		if m == nil {
-			continue
-		}
-		sum := 0.0
-		for _, w := range m.Weights {
-			if w < -1e-9 {
-				t.Fatalf("%s combiner has negative weight %v", name, w)
-			}
-			sum += w
-		}
-		if math.Abs(sum-1) > 1e-6 {
-			t.Fatalf("%s combiner weights sum to %v, want 1", name, sum)
+	models := svc.NodeStatus().Models.Champions
+	for measure, kind := range map[string]string{MeasureMagnitude: ModelST, MeasureDuration: ModelSpatial, MeasureTimestamp: ModelST} {
+		if len(models[measure]) != 1 || models[measure][kind] != 1 {
+			t.Fatalf("/statusz models champions %v, want %s served by %s", models, measure, kind)
 		}
 	}
 }

@@ -34,12 +34,16 @@ type Champions struct {
 	Timestamp string `json:"timestamp,omitempty"`
 }
 
-// champOr maps the zero value to the default champion.
+// champOr maps a recorded champion to the kind that serves it: the zero
+// value and any kind this build does not have (the "ensemble" of a
+// snapshot written before the stacked ensemble was removed) serve as
+// the default ModelST until the next refit decides again.
 func champOr(kind string) string {
-	if kind == "" {
-		return ModelST
+	switch kind {
+	case ModelTemporal, ModelSpatial:
+		return kind
 	}
-	return kind
+	return ModelST
 }
 
 // Promotion is one champion change, recorded in the target's lineage.
@@ -104,7 +108,7 @@ func newPromoTracker(window int) *promoTracker {
 
 // promoKinds are the champion candidates tracked per target.
 func promoKinds() []string {
-	return []string{ModelTemporal, ModelSpatial, ModelST, ModelEnsemble}
+	return []string{ModelTemporal, ModelSpatial, ModelST}
 }
 
 // get returns the target's tracker, or nil when none exists yet.
@@ -165,19 +169,19 @@ func measureSpecs() []measureSpec {
 	return []measureSpec{
 		{
 			name:      MeasureMagnitude,
-			kinds:     []string{ModelST, ModelEnsemble, ModelTemporal},
+			kinds:     []string{ModelST, ModelTemporal},
 			value:     func(s obs.Summary) (float64, int) { return s.Magnitude.MeanRelErr, s.Magnitude.Samples },
 			lowerWins: true,
 		},
 		{
 			name:      MeasureDuration,
-			kinds:     []string{ModelST, ModelEnsemble, ModelSpatial},
+			kinds:     []string{ModelST, ModelSpatial},
 			value:     func(s obs.Summary) (float64, int) { return s.Duration.MeanRelErr, s.Duration.Samples },
 			lowerWins: true,
 		},
 		{
 			name:      MeasureTimestamp,
-			kinds:     []string{ModelST, ModelEnsemble, ModelTemporal, ModelSpatial},
+			kinds:     []string{ModelST, ModelTemporal, ModelSpatial},
 			value:     func(s obs.Summary) (float64, int) { return s.Timestamp.Rate, s.Timestamp.Samples },
 			lowerWins: false,
 		},
@@ -185,61 +189,39 @@ func measureSpecs() []measureSpec {
 }
 
 // decideChampions runs the champion/challenger contest for one target at
-// refit time. prev carries the incumbents (zero value: ST defaults); acc
-// is the target's live accuracy window (nil: no scored arrivals yet —
-// incumbents hold); hasEnsemble gates the ensemble kind. A challenger
-// must beat the incumbent by the configured margin with at least
-// PromoMinSamples scored arrivals for its measure; an incumbent that has
-// become unavailable (ensemble dropped by a full refit that could not
-// re-fit it) is demoted to the default. Every change is returned as a
-// Promotion stamped with gen.
-func decideChampions(prev Champions, acc *obs.Accuracy, hasEnsemble bool, gen uint64, cfg Config) (Champions, []Promotion) {
+// refit time. prev carries the incumbents (zero value: ST defaults; see
+// champOr); acc is the target's live accuracy window (nil: no scored
+// arrivals yet — incumbents hold). A challenger must beat the incumbent
+// by the configured margin with at least PromoMinSamples scored arrivals
+// for its measure. Every change is returned as a Promotion stamped with
+// gen.
+func decideChampions(prev Champions, acc *obs.Accuracy, gen uint64, cfg Config) (Champions, []Promotion) {
 	out := Champions{
 		Magnitude: champOr(prev.Magnitude),
 		Duration:  champOr(prev.Duration),
 		Timestamp: champOr(prev.Timestamp),
 	}
-	var promos []Promotion
-	set := func(measure string, kind string) *string {
+	if acc == nil {
+		return out, nil
+	}
+	field := func(measure string) *string {
 		switch measure {
 		case MeasureMagnitude:
-			out.Magnitude = kind
 			return &out.Magnitude
 		case MeasureDuration:
-			out.Duration = kind
 			return &out.Duration
 		default:
-			out.Timestamp = kind
 			return &out.Timestamp
 		}
 	}
-	field := func(measure string) string {
-		switch measure {
-		case MeasureMagnitude:
-			return out.Magnitude
-		case MeasureDuration:
-			return out.Duration
-		default:
-			return out.Timestamp
-		}
-	}
+	var promos []Promotion
 	for _, spec := range measureSpecs() {
-		incumbent := field(spec.name)
-		if incumbent == ModelEnsemble && !hasEnsemble {
-			set(spec.name, ModelST)
-			promos = append(promos, Promotion{
-				Measure: spec.name, From: ModelEnsemble, To: ModelST, Generation: gen,
-				Reason: "ensemble no longer available",
-			})
-			incumbent = ModelST
-		}
-		if acc == nil {
-			continue
-		}
+		champ := field(spec.name)
+		incumbent := *champ
 		incVal, incSamples := spec.value(acc.Summary(incumbent))
 		bestKind, bestVal := "", 0.0
 		for _, kind := range spec.kinds {
-			if kind == incumbent || (kind == ModelEnsemble && !hasEnsemble) {
+			if kind == incumbent {
 				continue
 			}
 			val, samples := spec.value(acc.Summary(kind))
@@ -272,7 +254,7 @@ func decideChampions(prev Champions, acc *obs.Accuracy, hasEnsemble bool, gen ui
 		if incSamples < cfg.PromoMinSamples {
 			reason = fmt.Sprintf("%s: %s %.4f; incumbent %s unscored", spec.name, bestKind, bestVal, incumbent)
 		}
-		set(spec.name, bestKind)
+		*champ = bestKind
 		promos = append(promos, Promotion{
 			Measure: spec.name, From: incumbent, To: bestKind, Generation: gen, Reason: reason,
 		})

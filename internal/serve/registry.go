@@ -45,7 +45,6 @@ type TargetModels struct {
 	Temporal *core.Temporal       `json:"temporal"`
 	Spatial  *core.Spatial        `json:"spatial"`
 	ST       *core.Spatiotemporal `json:"st,omitempty"`
-	Ensemble *Ensemble            `json:"ensemble,omitempty"`
 
 	// Prov records how this generation was produced (full vs incremental
 	// refit, verdict filtering) and the champion composition it serves.
@@ -77,17 +76,13 @@ type TargetModels struct {
 }
 
 // scorePreds is one generation's frozen point forecast per model kind:
-// the temporal and spatial components, the spatiotemporal composition
-// (the CART tree when engaged, component composition otherwise), and the
-// stacked ensemble blend. NaN marks measures a kind does not predict
-// (the accuracy tracker skips NaN measures).
+// the temporal and spatial components and the spatiotemporal composition
+// (the CART tree when engaged, component composition otherwise).
 type scorePreds struct {
 	TmpMag, TmpHour, TmpDay float64
 	SpaDur, SpaHour, SpaDay float64
 	STMag, STDur            float64
 	STHour, STDay           float64
-	EnsMag, EnsDur          float64
-	EnsHour, EnsDay         float64
 }
 
 // preds computes (once per generation) and returns the cached score
@@ -121,39 +116,18 @@ func (tm *TargetModels) computePreds() scorePreds {
 		p.STDur = max(0, tm.ST.PredictDuration(&f))
 		p.STMag = max(0, tm.ST.PredictMagnitude(&f))
 	}
-	// The ensemble blends component forecasts per measure (column orders
-	// documented on Ensemble); measures without a fitted combiner stay NaN
-	// and are skipped by scoring and by the serving composition's fallback.
-	nan := math.NaN()
-	p.EnsMag, p.EnsDur, p.EnsHour, p.EnsDay = nan, nan, nan, nan
-	if e := tm.Ensemble; e != nil {
-		if e.Mag != nil {
-			p.EnsMag = max(0, e.Mag.Predict([]float64{max(0, p.TmpMag), p.STMag}))
-		}
-		if e.Dur != nil {
-			p.EnsDur = max(0, e.Dur.Predict([]float64{max(0, p.SpaDur), p.STDur}))
-		}
-		if e.Hour != nil {
-			p.EnsHour = e.Hour.Predict([]float64{p.TmpHour, p.SpaHour, p.STHour})
-		}
-		if e.Day != nil {
-			p.EnsDay = e.Day.Predict([]float64{p.TmpDay, p.SpaDay, p.STDay})
-		}
-	}
 	return p
 }
 
-// servedMeasure picks a kind's prediction for one measure, falling back to
-// the ST composition when the champion kind does not predict it (NaN).
-func pick(champion string, tmp, spa, st, ens float64) float64 {
+// pick returns the champion kind's prediction for one measure, falling
+// back to the ST composition when the champion does not predict it (NaN).
+func pick(champion string, tmp, spa, st float64) float64 {
 	var v float64
 	switch champion {
 	case ModelTemporal:
 		v = tmp
 	case ModelSpatial:
 		v = spa
-	case ModelEnsemble:
-		v = ens
 	default:
 		v = st
 	}
@@ -175,10 +149,10 @@ func (tm *TargetModels) served() servedPreds {
 	c := tm.Prov.Champions
 	nan := math.NaN()
 	return servedPreds{
-		Magnitude:   pick(champOr(c.Magnitude), max(0, p.TmpMag), nan, p.STMag, p.EnsMag),
-		DurationSec: pick(champOr(c.Duration), nan, max(0, p.SpaDur), p.STDur, p.EnsDur),
-		Hour:        pick(champOr(c.Timestamp), p.TmpHour, p.SpaHour, p.STHour, p.EnsHour),
-		Day:         pick(champOr(c.Timestamp), p.TmpDay, p.SpaDay, p.STDay, p.EnsDay),
+		Magnitude:   pick(champOr(c.Magnitude), max(0, p.TmpMag), nan, p.STMag),
+		DurationSec: pick(champOr(c.Duration), nan, max(0, p.SpaDur), p.STDur),
+		Hour:        pick(champOr(c.Timestamp), p.TmpHour, p.SpaHour, p.STHour),
+		Day:         pick(champOr(c.Timestamp), p.TmpDay, p.SpaDay, p.STDay),
 	}
 }
 

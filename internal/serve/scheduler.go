@@ -103,7 +103,7 @@ func (s *scheduler) fitOnline(as astopo.AS, window []trace.Attack, total uint64,
 		prevChamps = prev.Prov.Champions
 		history = prev.Prov.History
 	}
-	champs, promos := decideChampions(prevChamps, s.promo.get(as), tm.Ensemble.ready(), gen, cfg)
+	champs, promos := decideChampions(prevChamps, s.promo.get(as), gen, cfg)
 	tm.Prov.Champions = champs
 	tm.Prov.History = appendHistory(history, promos)
 	return tm, nil

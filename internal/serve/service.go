@@ -86,7 +86,7 @@ type Config struct {
 	IncrementalRefit bool
 	// FullRefitEvery forces a full re-estimation after this many
 	// consecutive incremental refits of a target (bounds drift and
-	// re-fits the spatiotemporal tree + ensemble). Default 8.
+	// re-fits the spatiotemporal tree). Default 8.
 	FullRefitEvery int
 	// DriftRatio is the residual-degradation ratio beyond which an
 	// incremental refit aborts in favor of a full one. Default 4.
@@ -206,14 +206,13 @@ const (
 const (
 	ModelTemporal   = "temporal"
 	ModelSpatial    = "spatial"
-	ModelST         = "st"       // the CART tree when engaged, component composition otherwise
-	ModelEnsemble   = "ensemble" // the stacked simplex combiner over the components
+	ModelST         = "st" // the CART tree when engaged, component composition otherwise
 	ModelAlwaysSame = "always_same"
 	ModelAlwaysMean = "always_mean"
 )
 
 func accuracyModels() []string {
-	return []string{ModelTemporal, ModelSpatial, ModelST, ModelEnsemble, ModelAlwaysSame, ModelAlwaysMean}
+	return []string{ModelTemporal, ModelSpatial, ModelST, ModelAlwaysSame, ModelAlwaysMean}
 }
 
 // telemetry bundles the instruments every layer updates.
@@ -616,11 +615,9 @@ func (s *Service) scoreArrival(tm *TargetModels, published bool, prev PrevStats,
 	tmpPred := obs.Prediction{Magnitude: p.TmpMag, DurationSec: nan, Hour: p.TmpHour, Day: p.TmpDay}
 	spaPred := obs.Prediction{Magnitude: nan, DurationSec: p.SpaDur, Hour: p.SpaHour, Day: p.SpaDay}
 	stPred := obs.Prediction{Magnitude: p.STMag, DurationSec: p.STDur, Hour: p.STHour, Day: p.STDay}
-	ensPred := obs.Prediction{Magnitude: p.EnsMag, DurationSec: p.EnsDur, Hour: p.EnsHour, Day: p.EnsDay}
 	s.acc.Score(ModelTemporal, tmpPred, out)
 	s.acc.Score(ModelSpatial, spaPred, out)
 	s.acc.Score(ModelST, stPred, out)
-	s.acc.Score(ModelEnsemble, ensPred, out)
 	// The same arrival judges the per-target champion contest: identical
 	// predictions, but in this target's own window so promotion decisions
 	// reflect local (not fleet-wide) accuracy.
@@ -628,7 +625,6 @@ func (s *Service) scoreArrival(tm *TargetModels, published bool, prev PrevStats,
 	pacc.Score(ModelTemporal, tmpPred, out)
 	pacc.Score(ModelSpatial, spaPred, out)
 	pacc.Score(ModelST, stPred, out)
-	pacc.Score(ModelEnsemble, ensPred, out)
 	// ensure can race the eviction hook: the store removes the target
 	// before onEvict drops its tracker, so a create that lost that race
 	// always observes the target gone here and removes itself — otherwise

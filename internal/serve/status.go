@@ -108,19 +108,8 @@ type NodeStatus struct {
 
 // NodeStatus captures this node's full status.
 func (s *Service) NodeStatus() NodeStatus {
-	s.updateTargetGauges()
 	st := NodeStatus{
-		Health: Health{
-			Status:          "ok",
-			UptimeSec:       time.Since(s.start).Seconds(),
-			Shards:          s.store.Shards(),
-			TargetsKnown:    s.store.Len(),
-			TargetsServed:   s.reg.Size(),
-			SnapshotVersion: s.reg.Version(),
-			RefitLag:        s.sched.Lag(),
-			Shedding:        s.sched.Overloaded(),
-			Cluster:         s.clusterInfoValue(),
-		},
+		Health:  s.health(),
 		Runtime: obs.ReadRuntime(),
 		Build:   obs.Provenance(),
 	}
