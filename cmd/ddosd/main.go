@@ -107,7 +107,7 @@ func main() {
 		maxTargets   = flag.Int("max-targets", 0, "state-store target cap; over it, the least-recently-ingested target is evicted (0 = unbounded)")
 		promoWindow  = flag.Int("promo-window", 64, "per-target accuracy window for champion/challenger promotion")
 		promoMinSamp = flag.Int("promo-min-samples", 16, "scored arrivals a challenger needs before promotion")
-		promoMargin  = flag.Float64("promo-margin", 0.05, "relative improvement a challenger must show over the incumbent")
+		promoMargin  = flag.Float64("promo-margin", 0.05, "margin a challenger must beat the incumbent by: relative for the duration and magnitude errors, absolute for the timestamp hit rate")
 
 		detectOn      = flag.Bool("detect", false, "enable the streaming detection tier (/alerts, ddosd_detect_*, per-record verdicts)")
 		detectTrigger = flag.Float64("detect-trigger", 4, "rate alert trigger: window count over this multiple of the EWMA baseline")

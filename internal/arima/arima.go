@@ -281,18 +281,7 @@ func (m *Model) Forecast(h int) ([]float64, error) {
 	e := append([]float64(nil), m.e...)
 	diffs := make([]float64, h)
 	for s := 0; s < h; s++ {
-		t := len(w)
-		pred := m.C
-		for j := 1; j <= m.P; j++ {
-			if t-j >= 0 {
-				pred += m.Phi[j-1] * w[t-j]
-			}
-		}
-		for j := 1; j <= m.Q; j++ {
-			if t-j >= 0 {
-				pred += m.Theta[j-1] * e[t-j]
-			}
-		}
+		pred := m.nextDiff(w, e)
 		diffs[s] = pred
 		w = append(w, pred)
 		e = append(e, 0)
@@ -304,13 +293,40 @@ func (m *Model) Forecast(h int) ([]float64, error) {
 	return timeseries.Integrate(diffs, seeds)
 }
 
-// PredictNext returns the one-step-ahead forecast on the original scale.
-func (m *Model) PredictNext() (float64, error) {
-	f, err := m.Forecast(1)
-	if err != nil {
-		return 0, err
+// nextDiff returns the forecast of the differenced value that follows w,
+// given the residuals e aligned with it (future residuals are zero).
+func (m *Model) nextDiff(w, e []float64) float64 {
+	t := len(w)
+	pred := m.C
+	for j := 1; j <= m.P; j++ {
+		if t-j >= 0 {
+			pred += m.Phi[j-1] * w[t-j]
+		}
 	}
-	return f[0], nil
+	for j := 1; j <= m.Q; j++ {
+		if t-j >= 0 {
+			pred += m.Theta[j-1] * e[t-j]
+		}
+	}
+	return pred
+}
+
+// PredictNext returns the one-step-ahead forecast on the original scale:
+// Forecast(1)[0] bit for bit, without copying the history.
+func (m *Model) PredictNext() (float64, error) {
+	pred := m.nextDiff(m.w, m.e)
+	// Integrate over the last D originals as timeseries.Integrate does:
+	// from level D-1 down to 0, add the last value of the seeds' k-th
+	// difference.
+	seeds := m.orig[len(m.orig)-m.D:]
+	for k := m.D - 1; k >= 0; k-- {
+		level, err := timeseries.Diff(seeds, k)
+		if err != nil {
+			return 0, err
+		}
+		pred = level[len(level)-1] + pred
+	}
+	return pred, nil
 }
 
 // Update appends a newly observed value (original scale) to the model

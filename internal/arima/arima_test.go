@@ -1,6 +1,7 @@
 package arima
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -423,6 +424,63 @@ func TestSelectOrderRejectsExplosiveModels(t *testing.T) {
 		}
 		if _, err := m.MarshalJSON(); err != nil {
 			t.Fatalf("n=%d: selected model does not serialize: %v", n, err)
+		}
+	}
+}
+
+// TestPredictNextMatchesForecast pins PredictNext to Forecast(1)[0] bit for
+// bit for every order with p <= 3, d <= 1 and q <= 1: on a fresh fit, after
+// walk-forward Updates, and after FoldIns that trimmed the state.
+func TestPredictNextMatchesForecast(t *testing.T) {
+	check := func(m *Model, what string) {
+		t.Helper()
+		got, err := m.PredictNext()
+		if err != nil {
+			t.Fatalf("ARIMA(%d,%d,%d) %s: PredictNext: %v", m.P, m.D, m.Q, what, err)
+		}
+		f, err := m.Forecast(1)
+		if err != nil {
+			t.Fatalf("ARIMA(%d,%d,%d) %s: Forecast: %v", m.P, m.D, m.Q, what, err)
+		}
+		if math.Float64bits(got) != math.Float64bits(f[0]) {
+			t.Fatalf("ARIMA(%d,%d,%d) %s: PredictNext %v (%#x), Forecast(1) %v (%#x)",
+				m.P, m.D, m.Q, what, got, math.Float64bits(got), f[0], math.Float64bits(f[0]))
+		}
+	}
+	// d=0 fits a stationary AR(1) series; d=1 fits the random walk whose
+	// increments it is.
+	stationary := genAR(220, 0.3, 0.5, 1, 9)
+	walk := make([]float64, len(stationary))
+	var level float64
+	for i, s := range stationary {
+		level += s
+		walk[i] = 50 + level
+	}
+	for p := 0; p <= 3; p++ {
+		for d := 0; d <= 1; d++ {
+			xs := [2][]float64{stationary, walk}[d]
+			for q := 0; q <= 1; q++ {
+				m, err := Fit(xs[:120], p, d, q)
+				if err != nil {
+					t.Fatalf("Fit(%d,%d,%d): %v", p, d, q, err)
+				}
+				check(m, "fresh fit")
+				for i, x := range xs[120:150] {
+					m.Update(x)
+					check(m, fmt.Sprintf("after %d updates", i+1))
+				}
+				// Fold-ins trim the state back to the length before each
+				// call, so these run on trimmed histories.
+				before := len(m.w)
+				for i := 150; i < len(xs); i += 10 {
+					_ = m.FoldIn(xs[i:i+10], 0)
+					check(m, fmt.Sprintf("after fold-in through %d", i+10))
+				}
+				if m.trimmed == 0 || len(m.w) != before {
+					t.Fatalf("ARIMA(%d,%d,%d): fold-ins trimmed %d values, state %d (want %d)",
+						p, d, q, m.trimmed, len(m.w), before)
+				}
+			}
 		}
 	}
 }

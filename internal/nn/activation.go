@@ -42,35 +42,67 @@ func (a Activation) String() string {
 	}
 }
 
-// eval returns f(x).
-func (a Activation) eval(x float64) float64 {
+// funcs returns the transfer function f and its derivative f'(x)
+// expressed via y = f(x) (all supported functions admit this form, which
+// avoids recomputing the pre-activation). The zero value, and any value
+// not listed above, is tanh.
+func (a Activation) funcs() (f, df func(float64) float64) {
 	switch a {
 	case ActLogSigmoid:
-		return 2/(1+math.Exp(-x)) - 1
+		return logSigmoid, logSigmoidDeriv
 	case ActElliott:
-		return x / (1 + math.Abs(x))
+		return elliott, elliottDeriv
 	case ActLinear:
-		return x
+		return linear, linearDeriv
 	default:
-		return math.Tanh(x)
+		return math.Tanh, tanhDeriv
 	}
 }
 
-// derivFromOutput returns f'(x) expressed via y = f(x) (all supported
-// functions admit this form, which avoids recomputing the pre-activation).
-func (a Activation) derivFromOutput(y float64) float64 {
+// activate returns Train's per-sample transfer, chosen once per call: it
+// replaces each pre-activation in v by f(v) and writes f' at that point
+// into d. Tanh, the paper's choice, calls math.Tanh directly rather than
+// through a function value.
+func (a Activation) activate() func(v, d []float64) {
 	switch a {
-	case ActLogSigmoid:
-		// y = 2s-1 with s = sigmoid(x); s'(x) = s(1-s) and dy/dx = 2s'.
-		s := (y + 1) / 2
-		return 2 * s * (1 - s)
-	case ActElliott:
-		// y = x/(1+|x|)  =>  f'(x) = 1/(1+|x|)^2 = (1-|y|)^2.
-		d := 1 - math.Abs(y)
-		return d * d
-	case ActLinear:
-		return 1
+	case ActLogSigmoid, ActElliott, ActLinear:
+		f, df := a.funcs()
+		return func(v, d []float64) {
+			for h, x := range v {
+				v[h] = f(x)
+				d[h] = df(v[h])
+			}
+		}
 	default:
-		return 1 - y*y
+		return func(v, d []float64) {
+			for h, x := range v {
+				t := math.Tanh(x)
+				v[h] = t
+				d[h] = tanhDeriv(t)
+			}
+		}
 	}
 }
+
+func tanhDeriv(y float64) float64 { return 1 - y*y }
+
+func logSigmoid(x float64) float64 { return 2/(1+math.Exp(-x)) - 1 }
+
+// logSigmoidDeriv: y = 2s-1 with s = sigmoid(x); s'(x) = s(1-s) and
+// dy/dx = 2s'.
+func logSigmoidDeriv(y float64) float64 {
+	s := (y + 1) / 2
+	return 2 * s * (1 - s)
+}
+
+func elliott(x float64) float64 { return x / (1 + math.Abs(x)) }
+
+// elliottDeriv: y = x/(1+|x|)  =>  f'(x) = 1/(1+|x|)^2 = (1-|y|)^2.
+func elliottDeriv(y float64) float64 {
+	d := 1 - math.Abs(y)
+	return d * d
+}
+
+func linear(x float64) float64 { return x }
+
+func linearDeriv(float64) float64 { return 1 }

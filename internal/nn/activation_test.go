@@ -23,13 +23,14 @@ func TestActivationString(t *testing.T) {
 
 func TestActivationShapes(t *testing.T) {
 	for _, a := range []Activation{ActTanSigmoid, ActLogSigmoid, ActElliott} {
-		if v := a.eval(0); math.Abs(v) > 1e-12 {
+		f, _ := a.funcs()
+		if v := f(0); math.Abs(v) > 1e-12 {
 			t.Errorf("%v(0) = %v, want 0", a, v)
 		}
 		// Squashing: bounded in (-1, 1) and monotone.
-		prev := a.eval(-10)
+		prev := f(-10)
 		for x := -9.5; x <= 10; x += 0.5 {
-			v := a.eval(x)
+			v := f(x)
 			if v <= prev-1e-12 {
 				t.Fatalf("%v not monotone at %v", a, x)
 			}
@@ -39,23 +40,24 @@ func TestActivationShapes(t *testing.T) {
 			prev = v
 		}
 	}
-	if ActLinear.eval(3.5) != 3.5 {
+	if f, _ := ActLinear.funcs(); f(3.5) != 3.5 {
 		t.Error("linear should be identity")
 	}
 }
 
-// Property: derivFromOutput matches a numerical derivative of eval.
+// Property: the derivative funcs returns matches a numerical derivative
+// of its transfer function.
 func TestActivationDerivativeProperty(t *testing.T) {
 	for _, a := range []Activation{ActTanSigmoid, ActLogSigmoid, ActElliott, ActLinear} {
-		a := a
+		fn, df := a.funcs()
 		f := func(raw float64) bool {
 			x := math.Mod(raw, 5)
 			if math.IsNaN(x) {
 				x = 0
 			}
 			const h = 1e-6
-			num := (a.eval(x+h) - a.eval(x-h)) / (2 * h)
-			ana := a.derivFromOutput(a.eval(x))
+			num := (fn(x+h) - fn(x-h)) / (2 * h)
+			ana := df(fn(x))
 			return math.Abs(num-ana) < 1e-4
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

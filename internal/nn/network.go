@@ -67,7 +67,7 @@ func NewNetwork(in, hidden int, seed uint64) (*Network, error) {
 // Predict evaluates the network on input x (length In; shorter inputs are
 // zero-padded, longer ones truncated).
 func (n *Network) Predict(x []float64) float64 {
-	act := n.act()
+	f, _ := n.act().funcs()
 	y := n.B2
 	for h := 0; h < n.Hidden; h++ {
 		a := n.B1[h]
@@ -75,7 +75,7 @@ func (n *Network) Predict(x []float64) float64 {
 		for i := 0; i < n.In && i < len(x); i++ {
 			a += w[i] * x[i]
 		}
-		y += n.W2[h] * act.eval(a)
+		y += n.W2[h] * f(a)
 	}
 	return y
 }
@@ -143,27 +143,28 @@ func (s *rpropState) apply(weights, grads []float64) {
 }
 
 // Train fits the network to (xs, ys) with full-batch RPROP and returns the
-// final training MSE.
+// final training MSE. Every row of xs must hold exactly In values.
 func (n *Network) Train(xs [][]float64, ys []float64, cfg *TrainConfig) (float64, error) {
 	if len(xs) == 0 || len(xs) != len(ys) {
 		return 0, ErrNoData
 	}
+	for s, x := range xs {
+		if len(x) != n.In {
+			return 0, fmt.Errorf("nn: training row %d has %d values, want %d", s, len(x), n.In)
+		}
+	}
 	c := cfg.withDefaults()
-	nw := n.Hidden*n.In + n.Hidden + n.Hidden + 1 // W1, B1, W2, B2
-	state := newRpropState(nw)
-	weights := make([]float64, nw)
-	grads := make([]float64, nw)
-	n.flatten(weights)
+	k := n.newKernel()
+	state := newRpropState(len(k.weights))
 	var mse float64
 	for epoch := 0; epoch < c.Epochs; epoch++ {
-		n.unflatten(weights)
-		mse = n.gradients(xs, ys, grads)
+		mse = k.gradients(xs, ys)
 		if mse < c.TolMSE {
 			break
 		}
-		state.apply(weights, grads)
+		state.apply(k.weights, k.grads)
 	}
-	n.unflatten(weights)
+	n.unflatten(k.weights)
 	return mse, nil
 }
 
@@ -193,59 +194,90 @@ func (n *Network) unflatten(in []float64) {
 	n.B2 = in[k]
 }
 
-// gradients computes the full-batch MSE gradient into grads (same layout
-// as flatten) and returns the MSE.
-func (n *Network) gradients(xs [][]float64, ys []float64, grads []float64) float64 {
-	for i := range grads {
-		grads[i] = 0
+// kernel is one Train call's state: the weights and their gradient in
+// flatten's layout, and the current sample's hidden activations with the
+// transfer function's derivative at each.
+type kernel struct {
+	in, hidden                       int
+	weights, grads, hiddenAct, deriv []float64
+	activate                         func(v, d []float64)
+}
+
+// newKernel returns a kernel holding n's weights.
+func (n *Network) newKernel() kernel {
+	nw := n.Hidden*n.In + n.Hidden + n.Hidden + 1 // W1, B1, W2, B2
+	k := kernel{
+		in:        n.In,
+		hidden:    n.Hidden,
+		weights:   make([]float64, nw),
+		grads:     make([]float64, nw),
+		hiddenAct: make([]float64, n.Hidden),
+		deriv:     make([]float64, n.Hidden),
+		activate:  n.act().activate(),
 	}
-	act := n.act()
-	hiddenAct := make([]float64, n.Hidden)
-	var sse float64
+	n.flatten(k.weights)
+	return k
+}
+
+// gradients computes the full-batch MSE gradient at k.weights into k.grads
+// and returns the MSE. Each accumulated value starts where, and adds its
+// terms in the order, the per-epoch loop this kernel replaced did: samples
+// in order, inputs and hidden units ascending, then the 2/n scale. That
+// order defines every trained model, so it must not change
+// (TestTrainMatchesReference, DESIGN.md §6).
+func (k *kernel) gradients(xs [][]float64, ys []float64) float64 {
+	in, hidden := k.in, k.hidden
+	nW1 := hidden * in
+	w1, b1 := k.weights[:nW1], k.weights[nW1:nW1+hidden]
+	w2, b2 := k.weights[nW1+hidden:nW1+2*hidden], k.weights[nW1+2*hidden]
+	g := k.grads
+	clear(g)
+	gW1, gB1, gW2 := g[:nW1], g[nW1:nW1+hidden], g[nW1+hidden:nW1+2*hidden]
+	hiddenAct, deriv := k.hiddenAct, k.deriv
+	var sse, gB2 float64
 	for s, x := range xs {
 		// Forward.
-		y := n.B2
-		for h := 0; h < n.Hidden; h++ {
-			a := n.B1[h]
-			w := n.W1[h]
-			for i := 0; i < n.In && i < len(x); i++ {
-				a += w[i] * x[i]
-			}
-			hiddenAct[h] = act.eval(a)
-			y += n.W2[h] * hiddenAct[h]
+		for h := range hiddenAct {
+			hiddenAct[h] = dot(b1[h], w1[h*in:], x)
+		}
+		k.activate(hiddenAct, deriv)
+		y := b2
+		for h, t := range hiddenAct {
+			y += w2[h] * t
 		}
 		err := y - ys[s]
 		sse += err * err
-		// Backward. dL/dy = 2*err/N; fold the 2/N constant in at the end
-		// by scaling err here (RPROP only uses gradient signs anyway, but
-		// keep magnitudes meaningful for the returned MSE bookkeeping).
-		k := 0
-		for h := 0; h < n.Hidden; h++ {
-			dAct := act.derivFromOutput(hiddenAct[h])
-			dA := err * n.W2[h] * dAct
-			for i := 0; i < n.In; i++ {
-				xi := 0.0
-				if i < len(x) {
-					xi = x[i]
-				}
-				grads[k+i] += dA * xi
-			}
-			k += n.In
+		// Backward. dL/dy = 2*err/N; the 2/N constant is folded in at the
+		// end.
+		for h, t := range hiddenAct {
+			dA := err * w2[h] * deriv[h]
+			axpy(gW1[h*in:], dA, x)
+			gB1[h] += dA
+			gW2[h] += err * t
 		}
-		for h := 0; h < n.Hidden; h++ {
-			dAct := act.derivFromOutput(hiddenAct[h])
-			grads[k+h] += err * n.W2[h] * dAct
-		}
-		k += n.Hidden
-		for h := 0; h < n.Hidden; h++ {
-			grads[k+h] += err * hiddenAct[h]
-		}
-		k += n.Hidden
-		grads[k] += err
+		gB2 += err
 	}
+	g[nW1+2*hidden] = gB2
 	nSamples := float64(len(xs))
-	for i := range grads {
-		grads[i] *= 2 / nSamples
+	for i := range g {
+		g[i] *= 2 / nSamples
 	}
 	return sse / nSamples
+}
+
+// dot returns a + w[0]*x[0] + w[1]*x[1] + ..., added in that order.
+func dot(a float64, w, x []float64) float64 {
+	w = w[:len(x)]
+	for i, xi := range x {
+		a += w[i] * xi
+	}
+	return a
+}
+
+// axpy adds a*x[i] to each g[i].
+func axpy(g []float64, a float64, x []float64) {
+	g = g[:len(x)]
+	for i, xi := range x {
+		g[i] += a * xi
+	}
 }

@@ -95,6 +95,14 @@ func TestTrainErrors(t *testing.T) {
 	if _, err := net.Train([][]float64{{1}}, []float64{1, 2}, nil); err == nil {
 		t.Error("mismatched lengths should error")
 	}
+	// Every row must hold exactly In values: Predict zero-pads a short
+	// input, but training on one would fit phantom zeros.
+	net2, _ := NewNetwork(2, 2, 1)
+	for _, rows := range [][][]float64{{{1, 2}, {3}}, {{1, 2}, {3, 4, 5}}} {
+		if _, err := net2.Train(rows, []float64{1, 2}, nil); err == nil {
+			t.Errorf("rows %v with In=2 should error", rows)
+		}
+	}
 }
 
 func TestPredictZeroPadsShortInput(t *testing.T) {

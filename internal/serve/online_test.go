@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/astopo"
 	"repro/internal/core"
+	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
@@ -617,6 +618,28 @@ func BenchmarkRefitFull(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := fitTarget(nil, 64512, window, uint64(len(window)), uint64(i+1), cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCarriedFullRefit times one carried full refit at ddosd's
+// defaults: -nar-epochs 120, the default NAR and ARIMA grids, a 256-record
+// window, and the NAR topology carried from a first fit, so each refit
+// trains 6 networks. BenchmarkRefitFull runs at testConfig (10 epochs,
+// one-candidate grids), too small to show the cost of NAR training. The
+// name stays outside bench.sh's 'BenchmarkRefit(Full|Incremental)$'.
+func BenchmarkCarriedFullRefit(b *testing.B) {
+	cfg := Config{Seed: 1, Spatial: core.SpatialConfig{Train: nn.TrainConfig{Epochs: 120}}}.withDefaults()
+	window := benchWindow(cfg.Window)
+	first, err := fitTarget(nil, 64512, window, uint64(len(window)), 1, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := fitTarget(first, 64512, window, uint64(len(window)), uint64(i+2), cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
