@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	ddosrepro [-seed N] [-scale F] [-horizon D] [-exp all|table1|table2|fig1|fig2|fig34|fig5|compare]
+//	ddosrepro [-seed N] [-scale F] [-horizon D] [-md FILE] [-exp all|table1|table2|features|fig1|fig2|fig34|fig5|compare|ablate|pipeline|drift]
 package main
 
 import (
@@ -29,6 +29,11 @@ func main() {
 		md      = flag.String("md", "", "also write a markdown report of all experiments to this path")
 	)
 	flag.Parse()
+	if err := checkFlags(*exp, *scale, *horizon); err != nil {
+		log.Print(err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	t0 := time.Now()
 	env, err := eval.BuildEnv(eval.Config{Seed: *seed, Scale: *scale, HorizonDays: *horizon})
@@ -49,7 +54,23 @@ func main() {
 		fmt.Printf("wrote markdown report to %s\n\n", *md)
 	}
 
-	runners := map[string]func(*eval.Env) error{
+	if *exp != "all" {
+		if err := runners[*exp](env); err != nil {
+			log.Fatal(err)
+		}
+		return
+	}
+	for _, name := range order {
+		if err := runners[name](env); err != nil {
+			log.Fatal(err)
+		}
+	}
+}
+
+// runners maps each -exp name but "all" to its experiment; order is the
+// sequence "all" runs them in.
+var (
+	runners = map[string]func(*eval.Env) error{
 		"table1":   printTable1,
 		"table2":   func(*eval.Env) error { return printTable2() },
 		"features": printFeatureAnalysis,
@@ -62,24 +83,24 @@ func main() {
 		"pipeline": printPipeline,
 		"drift":    printDrift,
 	}
-	order := []string{"table1", "table2", "features", "fig1", "fig2", "fig34", "fig5", "compare", "ablate", "pipeline", "drift"}
-	if *exp != "all" {
-		run, ok := runners[*exp]
-		if !ok {
-			log.Printf("unknown experiment %q", *exp)
-			flag.Usage()
-			os.Exit(2)
-		}
-		if err := run(env); err != nil {
-			log.Fatal(err)
-		}
-		return
+	order = []string{"table1", "table2", "features", "fig1", "fig2", "fig34", "fig5", "compare", "ablate", "pipeline", "drift"}
+)
+
+// checkFlags rejects an -exp that names no experiment, a -scale outside
+// (0,1] and a -horizon below one day before main spends seconds building
+// the world; eval.Config would otherwise turn such a scale or horizon into
+// the paper's without a word.
+func checkFlags(exp string, scale float64, horizon int) error {
+	if _, ok := runners[exp]; !ok && exp != "all" {
+		return fmt.Errorf("unknown experiment %q", exp)
 	}
-	for _, name := range order {
-		if err := runners[name](env); err != nil {
-			log.Fatal(err)
-		}
+	if !(scale > 0 && scale <= 1) {
+		return fmt.Errorf("-scale %v is outside (0,1]", scale)
 	}
+	if horizon < 1 {
+		return fmt.Errorf("-horizon %d is below 1 day", horizon)
+	}
+	return nil
 }
 
 func printTable1(env *eval.Env) error {

@@ -471,7 +471,9 @@ func benchCluster(b *testing.B, route string) (nodes []*testNode, bodies [][]byt
 
 // The three routing benchmarks measure the same 64-record binary batch
 // landing on its owner: directly, through the non-owner's split-proxy,
-// and via a 307 bounce. bench.sh distills their deltas into BENCH_7.json.
+// and via a 307 bounce:
+//
+//	go test -run '^$' -bench ClusterRouting -benchmem ./internal/cluster
 
 func BenchmarkClusterRoutingDirect(b *testing.B) {
 	nodes, bodies := benchCluster(b, RouteProxy)

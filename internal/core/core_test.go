@@ -95,6 +95,57 @@ func TestARIMAPredictorErrors(t *testing.T) {
 	p.Update(1) // must not panic unfitted
 }
 
+// TestARIMAOrderRuleShared pins that the temporal model's series fits and
+// ARIMAPredictor select the same (p,d,q) under one defaulting rule, and
+// what that rule does today: a zero MaxD or MaxQ keeps d = q = 0, even on
+// a random walk or an MA(1) series, where a negative one (meaning 1) does
+// not.
+func TestARIMAOrderRuleShared(t *testing.T) {
+	walk := genARSeries(300, 1, 7)
+	ar := genARSeries(300, 0.8, 8)
+	ma := make([]float64, 300)
+	rng := rand.New(rand.NewPCG(9, 10))
+	prev := 0.0
+	for i := range ma {
+		e := rng.NormFloat64()
+		ma[i], prev = e+0.7*prev, e
+	}
+	type order struct{ p, d, q int }
+	for _, tc := range []struct {
+		name         string
+		cfg          TemporalConfig
+		xs           []float64
+		wantD, wantQ int
+	}{
+		{"zero/walk", TemporalConfig{}, walk, 0, 0},
+		{"zero/ar", TemporalConfig{}, ar, 0, 0},
+		{"zero/ma", TemporalConfig{}, ma, 0, 0},
+		{"negative/walk", TemporalConfig{MaxP: -1, MaxD: -1, MaxQ: -1}, walk, 1, 0},
+		{"negative/ma", TemporalConfig{MaxP: -1, MaxD: -1, MaxQ: -1}, ma, 0, 1},
+		{"explicit/walk", TemporalConfig{MaxP: 2, MaxD: 1, MaxQ: 1}, walk, 1, 0},
+		{"explicit/ar", TemporalConfig{MaxP: 1, MaxD: 0, MaxQ: 0}, ar, 0, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg.withDefaults()
+			sm := fitSeries(tc.xs, cfg)
+			p := &ARIMAPredictor{MaxP: tc.cfg.MaxP, MaxD: tc.cfg.MaxD, MaxQ: tc.cfg.MaxQ}
+			if err := p.Fit(tc.xs); err != nil {
+				t.Fatal(err)
+			}
+			if sm.m == nil {
+				t.Fatal("fitSeries fell back to the mean")
+			}
+			got := order{sm.m.P, sm.m.D, sm.m.Q}
+			if pred := (order{p.model.P, p.model.D, p.model.Q}); pred != got {
+				t.Fatalf("ARIMAPredictor chose %+v, fitSeries %+v", pred, got)
+			}
+			if got.p > cfg.MaxP || got.d != tc.wantD || got.q != tc.wantQ {
+				t.Fatalf("order %+v, want p <= %d, d = %d, q = %d", got, cfg.MaxP, tc.wantD, tc.wantQ)
+			}
+		})
+	}
+}
+
 func TestNARPredictorFitsSine(t *testing.T) {
 	n := 300
 	xs := make([]float64, n)

@@ -95,7 +95,8 @@ func (p *AlwaysMean) Update(x float64) {
 }
 
 // ARIMAPredictor adapts the temporal model engine to SeriesPredictor with
-// AIC order selection over a small grid.
+// AIC order selection over a small grid, bounded by its fields under
+// TemporalConfig's defaulting rule.
 type ARIMAPredictor struct {
 	MaxP, MaxD, MaxQ int
 	model            *arima.Model
@@ -106,17 +107,8 @@ func (p *ARIMAPredictor) Name() string { return "Temporal(ARIMA)" }
 
 // Fit selects and estimates the ARIMA order on the training series.
 func (p *ARIMAPredictor) Fit(train []float64) error {
-	maxP, maxD, maxQ := p.MaxP, p.MaxD, p.MaxQ
-	if maxP < 1 {
-		maxP = 3
-	}
-	if maxD < 0 {
-		maxD = 1
-	}
-	if maxQ < 0 {
-		maxQ = 1
-	}
-	m, err := arima.SelectOrder(train, maxP, maxD, maxQ)
+	cfg := TemporalConfig{MaxP: p.MaxP, MaxD: p.MaxD, MaxQ: p.MaxQ}.withDefaults()
+	m, err := arima.SelectOrder(train, cfg.MaxP, cfg.MaxD, cfg.MaxQ)
 	if err != nil {
 		return fmt.Errorf("core: ARIMA fit: %w", err)
 	}

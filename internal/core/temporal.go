@@ -30,6 +30,11 @@ type TemporalConfig struct {
 	MaxP, MaxD, MaxQ int
 }
 
+// withDefaults is the one ARIMA order-defaulting rule; FitTemporal and
+// ARIMAPredictor.Fit both apply it. A MaxP below 1 means 3 and a negative
+// MaxD or MaxQ means 1, but a zero MaxD or MaxQ stays 0. Every caller
+// passes a zero config today, so the search runs over AR(p <= 3) with
+// d = q = 0.
 func (c TemporalConfig) withDefaults() TemporalConfig {
 	if c.MaxP < 1 {
 		c.MaxP = 3

@@ -646,42 +646,40 @@ func newZeroAllocHarness(t testing.TB, nBodies int, mutate ...func(*Config)) (*S
 	return svc, bodies, trace.NewBatchDecoder()
 }
 
-// BenchmarkIngestScalarJSON measures one-record-at-a-time ingest: each
-// record is json.Unmarshal'ed and applied with Service.Ingest, a batch of
-// one with its own WAL append. It runs over the same record stream as
-// BenchmarkIngestBatchBinary, so scripts/bench.sh can merge both into
-// BENCH_6.json; the name is the one that script parses.
-func BenchmarkIngestScalarJSON(b *testing.B) {
+// BenchmarkIngestBatchJSON is BenchmarkIngestBatchBinary's JSON-wire
+// twin: the same 512 bodies, each sent as 64 NDJSON lines, decoded by
+// decodeJSONIngest and applied with IngestBatch, as POST /ingest does for
+// a JSON body. The records reach the WAL re-encoded, not as wire bytes.
+func BenchmarkIngestBatchJSON(b *testing.B) {
 	svc, bodies, dec := newZeroAllocHarness(b, 512)
 	var r bytes.Reader
-	lines := make([][][]byte, len(bodies))
+	ndjson := make([][]byte, len(bodies))
 	for i, body := range bodies {
 		r.Reset(body)
 		dec.Reset(&r)
 		if err := dec.Decode(0); err != nil {
 			b.Fatal(err)
 		}
-		recs := dec.Records()
-		lines[i] = make([][]byte, len(recs))
-		for j := range recs {
-			buf, err := json.Marshal(&recs[j])
-			if err != nil {
+		var buf bytes.Buffer
+		enc := json.NewEncoder(&buf)
+		for _, rec := range dec.Records() {
+			if err := enc.Encode(&rec); err != nil {
 				b.Fatal(err)
 			}
-			lines[i][j] = buf
 		}
+		ndjson[i] = buf.Bytes()
 	}
+	var batch []trace.Attack
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, line := range lines[i%len(lines)] {
-			var a trace.Attack
-			if err := json.Unmarshal(line, &a); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := svc.Ingest(&a); err != nil {
-				b.Fatal(err)
-			}
+		r.Reset(ndjson[i%len(ndjson)])
+		var err error
+		if batch, err = decodeJSONIngest(&r, batch[:0], svc.cfg.MaxBatchRecords); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := svc.IngestBatch(batch, nil); err != nil {
+			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
@@ -691,7 +689,7 @@ func BenchmarkIngestScalarJSON(b *testing.B) {
 
 // BenchmarkIngestBatchBinary measures the server-side binary hot path —
 // batch decode + vectorized store/WAL apply — in records/second and
-// allocs/record (the numbers BENCH_6.json checks in).
+// allocs/record.
 func BenchmarkIngestBatchBinary(b *testing.B) {
 	svc, bodies, dec := newZeroAllocHarness(b, 512)
 	var r bytes.Reader
@@ -710,4 +708,31 @@ func BenchmarkIngestBatchBinary(b *testing.B) {
 	b.StopTimer()
 	recs := float64(b.N * 64)
 	b.ReportMetric(recs/b.Elapsed().Seconds(), "rec/s")
+}
+
+// speedup times the two benchmarks one after the other and returns base's
+// ns/op over fast's: how many times cheaper one op of fast is. Both must
+// do the same work per op. It skips under -short: each call spends a few
+// seconds timing.
+func speedup(t *testing.T, fast, base func(*testing.B)) float64 {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("times two benchmarks")
+	}
+	f, b := testing.Benchmark(fast), testing.Benchmark(base)
+	if f.N == 0 || b.N == 0 {
+		t.Fatal("a compared benchmark failed")
+	}
+	return float64(b.NsPerOp()) / float64(f.NsPerOp())
+}
+
+// TestBinaryWireOutpacesJSON gates the binary wire's reason to exist: its
+// server-side ingest path must move at least as many records per second
+// as the JSON wire's over the same bodies.
+func TestBinaryWireOutpacesJSON(t *testing.T) {
+	x := speedup(t, BenchmarkIngestBatchBinary, BenchmarkIngestBatchJSON)
+	t.Logf("binary wire ingests %.2fx the JSON wire's rec/s", x)
+	if x < 1.0 {
+		t.Fatalf("binary wire ingests %.2fx the JSON wire's rec/s, want >= 1.0x", x)
+	}
 }

@@ -8,7 +8,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -374,9 +373,6 @@ func TestIncrementalServeAccuracyParity(t *testing.T) {
 	if nInc == 0 {
 		t.Fatal("incremental service never took the fold-in path")
 	}
-	// Machine-parseable for scripts/bench.sh (BENCH_10 accuracy gate).
-	fmt.Printf("INCR_PARITY incremental_refits=%d full_magnitude_relerr=%.6f incremental_magnitude_relerr=%.6f\n",
-		nInc, full.Magnitude.MeanRelErr, inc.Magnitude.MeanRelErr)
 	if inc.Magnitude.Samples == 0 || full.Magnitude.Samples == 0 {
 		t.Fatal("no scored magnitude samples")
 	}
@@ -608,7 +604,7 @@ func TestSnapshotRoundTripEnsembleProvenance(t *testing.T) {
 	}
 }
 
-// --- refit cost: the BENCH_10 pair --------------------------------------
+// --- refit cost: full vs incremental -----------------------------------
 
 func benchWindow(n int) []trace.Attack { return mkAttacks(64512, 0, n) }
 
@@ -627,8 +623,7 @@ func BenchmarkRefitFull(b *testing.B) {
 // defaults: -nar-epochs 120, the default NAR and ARIMA grids, a 256-record
 // window, and the NAR topology carried from a first fit, so each refit
 // trains 6 networks. BenchmarkRefitFull runs at testConfig (10 epochs,
-// one-candidate grids), too small to show the cost of NAR training. The
-// name stays outside bench.sh's 'BenchmarkRefit(Full|Incremental)$'.
+// one-candidate grids), too small to show the cost of NAR training.
 func BenchmarkCarriedFullRefit(b *testing.B) {
 	cfg := Config{Seed: 1, Spatial: core.SpatialConfig{Train: nn.TrainConfig{Epochs: 120}}}.withDefaults()
 	window := benchWindow(cfg.Window)
@@ -662,5 +657,17 @@ func BenchmarkRefitIncremental(b *testing.B) {
 		if _, err := fitTargetIncremental(prev, 64512, window, 160, uint64(i+2), cfg); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestIncrementalRefitCheaperThanFull gates the fold-in path's reason to
+// exist: folding 8 new records into a 160-record target must cost at most
+// a third of re-estimating it. TestIncrementalServeAccuracyParity checks
+// that the saving does not cost tracked accuracy.
+func TestIncrementalRefitCheaperThanFull(t *testing.T) {
+	x := speedup(t, BenchmarkRefitIncremental, BenchmarkRefitFull)
+	t.Logf("incremental refit is %.2fx cheaper than a full one", x)
+	if x < 3.0 {
+		t.Fatalf("incremental refit is %.2fx cheaper than a full one, want >= 3.0x", x)
 	}
 }
