@@ -406,8 +406,9 @@ func BenchmarkServeForecast(b *testing.B) {
 	}
 }
 
-// BenchmarkServeIngest measures the sharded store's ingest path alone
-// (window insert + dedup scan), with refits disabled via a high MinWindow.
+// BenchmarkServeIngest measures one-record IngestBatch calls: the sharded
+// store's ingest path (window insert + dedup scan), with refits disabled
+// via a high MinWindow.
 func BenchmarkServeIngest(b *testing.B) {
 	cfg := serve.Config{Window: 256, MinWindow: 1 << 30}
 	svc := serve.New(cfg)
@@ -416,14 +417,14 @@ func BenchmarkServeIngest(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a := trace.Attack{
+		one := [1]trace.Attack{{
 			ID: i + 1, Family: "DirtJumper",
 			Start:       t0.Add(time.Duration(i) * time.Minute),
 			DurationSec: 600,
 			TargetAS:    astopo.AS(64512 + i%64),
 			Bots:        []astopo.IPv4{1, 2, 3},
-		}
-		if _, err := svc.Ingest(&a); err != nil {
+		}}
+		if _, err := svc.IngestBatch(one[:], nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -315,7 +315,7 @@ func run(opts daemonOpts, cfg serve.Config) error {
 		}
 		logger.Info("wal recovered", "component", "wal", "dir", opts.walDir,
 			"checkpoint_targets", rs.CheckpointTargets, "segments", rs.Segments,
-			"replayed", rs.Replayed, "duplicates", rs.Duplicates, "skipped", rs.Skipped,
+			"replayed", rs.Replayed, "duplicates", rs.Duplicates, "invalid", rs.Invalid, "skipped", rs.Skipped,
 			"refits", rs.Refits, "fsync", policy.String(),
 			"elapsed", time.Since(t0).Round(time.Millisecond).String())
 		svc.AttachWAL(walLog, logger)

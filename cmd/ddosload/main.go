@@ -51,8 +51,8 @@ func main() {
 		rateEnd  = flag.Float64("rate-end", 0, "open-loop final rate for a linear ramp (0 = constant)")
 		duration = flag.Duration("duration", 0, "open-loop run length; overrides -records via the mean rate")
 		workers  = flag.Int("workers", 8, "concurrent sink calls")
-		wire     = flag.String("wire", "json", "batch request encoding against a live daemon: json (NDJSON) or binary (application/x-ddos-batch)")
-		batch    = flag.Int("batch", 1, "records per sink call (1 = scalar ingest; >1 batches requests)")
+		wire     = flag.String("wire", "json", "request encoding against a live daemon: json (NDJSON) or binary (application/x-ddos-batch)")
+		batch    = flag.Int("batch", 1, "records per sink call (one /ingest request or one in-process IngestBatch)")
 		targets  = flag.Int("targets", 16, "target fan-out")
 		seed     = flag.Uint64("seed", 1, "generator and chaos seed")
 		compress = flag.Float64("compress", 24, "trace-time compression factor for record timestamps")
@@ -96,12 +96,6 @@ func main() {
 	if *batch < 1 {
 		log.Printf("-batch must be at least 1, got %d", *batch)
 		os.Exit(2)
-	}
-	if *wire == "binary" && *batch == 1 {
-		// The binary encoding is a batch protocol; without -batch the flag
-		// would silently fall back to scalar JSON requests.
-		*batch = 16
-		log.Printf("-wire binary implies batching; defaulting to -batch %d", *batch)
 	}
 	cfg := loadgen.Config{Records: *records, Workers: *workers, Rate: *rate, RateEnd: *rateEnd, Batch: *batch}
 	switch *mode {

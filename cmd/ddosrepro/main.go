@@ -43,8 +43,11 @@ func main() {
 	fmt.Printf("world: %d verified attacks, %d families, %d inferred ASes (built in %v)\n\n",
 		env.Dataset.Len(), len(env.Dataset.Families()), env.Inferred.Len(), time.Since(t0).Round(time.Millisecond))
 
+	// The markdown report and the text run share one result set, so each
+	// experiment runs at most once.
+	res := eval.NewResults(env)
 	if *md != "" {
-		report, err := eval.Report(env)
+		report, err := res.Report()
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -55,13 +58,13 @@ func main() {
 	}
 
 	if *exp != "all" {
-		if err := runners[*exp](env); err != nil {
+		if err := runners[*exp](res); err != nil {
 			log.Fatal(err)
 		}
 		return
 	}
 	for _, name := range order {
-		if err := runners[name](env); err != nil {
+		if err := runners[name](res); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -70,9 +73,9 @@ func main() {
 // runners maps each -exp name but "all" to its experiment; order is the
 // sequence "all" runs them in.
 var (
-	runners = map[string]func(*eval.Env) error{
+	runners = map[string]func(*eval.Results) error{
 		"table1":   printTable1,
-		"table2":   func(*eval.Env) error { return printTable2() },
+		"table2":   func(*eval.Results) error { return printTable2() },
 		"features": printFeatureAnalysis,
 		"fig1":     printFigure1,
 		"fig2":     printFigure2,
@@ -103,11 +106,11 @@ func checkFlags(exp string, scale float64, horizon int) error {
 	return nil
 }
 
-func printTable1(env *eval.Env) error {
+func printTable1(res *eval.Results) error {
 	fmt.Println("== Table I — activity level of bots (measured vs paper) ==")
 	fmt.Printf("%-12s %10s %9s %7s   %10s %9s %7s\n",
 		"Family", "Avg#/Day", "ActDays", "CV", "paperAvg", "paperAD", "pCV")
-	for _, r := range eval.RunTable1(env) {
+	for _, r := range res.Table1() {
 		fmt.Printf("%-12s %10.2f %9d %7.2f   %10.2f %9d %7.2f\n",
 			r.Family, r.AvgPerDay, r.ActiveDays, r.CV,
 			r.PaperAvgPerDay, r.PaperActiveDays, r.PaperCV)
@@ -125,9 +128,9 @@ func printTable2() error {
 	return nil
 }
 
-func printFeatureAnalysis(env *eval.Env) error {
+func printFeatureAnalysis(res *eval.Results) error {
 	fmt.Println("== §III — feature analysis (inter-launch CDF, multistage, A^f/A^b/A^s) ==")
-	results, err := eval.RunFeatureAnalysis(env, nil)
+	results, err := eval.RunFeatureAnalysis(res.Env, nil)
 	if err != nil {
 		return err
 	}
@@ -148,9 +151,9 @@ func printFeatureAnalysis(env *eval.Env) error {
 	return nil
 }
 
-func printFigure1(env *eval.Env) error {
+func printFigure1(res *eval.Results) error {
 	fmt.Println("== Figure 1 — temporal prediction of attacking magnitudes ==")
-	series, err := eval.RunFigure1(env, nil)
+	series, err := res.Figure1()
 	if err != nil {
 		return err
 	}
@@ -166,9 +169,9 @@ func printFigure1(env *eval.Env) error {
 	return nil
 }
 
-func printFigure2(env *eval.Env) error {
+func printFigure2(res *eval.Results) error {
 	fmt.Println("== Figure 2 — spatial prediction of attacking source distributions ==")
-	results, err := eval.RunFigure2(env, nil, 5)
+	results, err := res.Figure2()
 	if err != nil {
 		return err
 	}
@@ -191,9 +194,9 @@ func printFigure2(env *eval.Env) error {
 	return nil
 }
 
-func printFigure34(env *eval.Env) error {
+func printFigure34(all *eval.Results) error {
 	fmt.Println("== Figures 3 & 4 — spatiotemporal timestamp predictions ==")
-	res, err := eval.RunFigure34(env, eval.Figure34Config{})
+	res, err := all.Figure34()
 	if err != nil {
 		return err
 	}
@@ -219,9 +222,9 @@ func printFigure34(env *eval.Env) error {
 	return nil
 }
 
-func printFigure5(env *eval.Env) error {
+func printFigure5(all *eval.Results) error {
 	fmt.Println("== Figure 5 — use cases (§VII-B) ==")
-	res, err := eval.RunFigure5(env, eval.Figure5Config{})
+	res, err := all.Figure5()
 	if err != nil {
 		return err
 	}
@@ -240,9 +243,9 @@ func printFigure5(env *eval.Env) error {
 	return nil
 }
 
-func printComparison(env *eval.Env) error {
+func printComparison(res *eval.Results) error {
 	fmt.Println("== §VII-A — models vs Always Same / Always Mean (RMSE) ==")
-	rows, err := eval.RunComparison(env, 5)
+	rows, err := res.Comparison()
 	if err != nil {
 		return err
 	}
@@ -258,9 +261,9 @@ func printComparison(env *eval.Env) error {
 	return nil
 }
 
-func printAblation(env *eval.Env) error {
+func printAblation(res *eval.Results) error {
 	fmt.Println("== Ablations — spatiotemporal design choices (§VI) ==")
-	rows, err := eval.RunAblation(env, eval.Figure34Config{})
+	rows, err := res.Ablation()
 	if err != nil {
 		return err
 	}
@@ -272,9 +275,9 @@ func printAblation(env *eval.Env) error {
 	return nil
 }
 
-func printDrift(env *eval.Env) error {
+func printDrift(all *eval.Results) error {
 	fmt.Println("== Concept drift — botnet takedown and model re-convergence ==")
-	res, err := eval.RunDrift(env.Cfg)
+	res, err := eval.RunDrift(all.Env.Cfg)
 	if err != nil {
 		return err
 	}
@@ -292,9 +295,9 @@ func printDrift(env *eval.Env) error {
 	return nil
 }
 
-func printPipeline(env *eval.Env) error {
+func printPipeline(res *eval.Results) error {
 	fmt.Println("== Defense pipeline — detect, reconfigure, scrub (end-to-end §VII-B) ==")
-	exp, err := eval.RunDefensePipeline(env, 5)
+	exp, err := eval.RunDefensePipeline(res.Env, 5)
 	if err != nil {
 		return err
 	}

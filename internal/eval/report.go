@@ -5,44 +5,120 @@ import (
 	"strings"
 )
 
+// Results runs each experiment of the markdown report at most once and
+// keeps its result, so a caller that both writes the report and prints
+// the experiments (cmd/ddosrepro -md) computes each one once. Not safe
+// for concurrent use.
+type Results struct {
+	Env *Env
+
+	table1     []Table1Row
+	fig1       memo[[]Figure1Series]
+	fig2       memo[[]Figure2Result]
+	fig34      memo[*Figure34Result]
+	comparison memo[[]ComparisonRow]
+	fig5       memo[*Figure5Result]
+	ablation   memo[[]AblationRow]
+}
+
+// NewResults returns an empty result set over env.
+func NewResults(env *Env) *Results { return &Results{Env: env} }
+
+// memo holds one experiment's outcome once it has run.
+type memo[T any] struct {
+	done bool
+	v    T
+	err  error
+}
+
+func (m *memo[T]) get(run func() (T, error)) (T, error) {
+	if !m.done {
+		m.v, m.err = run()
+		m.done = true
+	}
+	return m.v, m.err
+}
+
+// Table1 is RunTable1(env).
+func (r *Results) Table1() []Table1Row {
+	if r.table1 == nil {
+		r.table1 = RunTable1(r.Env)
+	}
+	return r.table1
+}
+
+// Figure1 is RunFigure1(env, nil).
+func (r *Results) Figure1() ([]Figure1Series, error) {
+	return r.fig1.get(func() ([]Figure1Series, error) { return RunFigure1(r.Env, nil) })
+}
+
+// Figure2 is RunFigure2(env, nil, 5).
+func (r *Results) Figure2() ([]Figure2Result, error) {
+	return r.fig2.get(func() ([]Figure2Result, error) { return RunFigure2(r.Env, nil, 5) })
+}
+
+// Figure34 is RunFigure34(env, Figure34Config{}).
+func (r *Results) Figure34() (*Figure34Result, error) {
+	return r.fig34.get(func() (*Figure34Result, error) { return RunFigure34(r.Env, Figure34Config{}) })
+}
+
+// Comparison is RunComparison(env, 5).
+func (r *Results) Comparison() ([]ComparisonRow, error) {
+	return r.comparison.get(func() ([]ComparisonRow, error) { return RunComparison(r.Env, 5) })
+}
+
+// Figure5 is RunFigure5(env, Figure5Config{}).
+func (r *Results) Figure5() (*Figure5Result, error) {
+	return r.fig5.get(func() (*Figure5Result, error) { return RunFigure5(r.Env, Figure5Config{}) })
+}
+
+// Ablation is RunAblation(env, Figure34Config{}).
+func (r *Results) Ablation() ([]AblationRow, error) {
+	return r.ablation.get(func() ([]AblationRow, error) { return RunAblation(r.Env, Figure34Config{}) })
+}
+
 // Report runs every experiment on the environment and renders a
 // self-contained markdown document — the machine-generated counterpart of
-// EXPERIMENTS.md for an arbitrary seed and scale
-// (cmd/ddosrepro -md FILE writes it).
-func Report(env *Env) (string, error) {
+// EXPERIMENTS.md for an arbitrary seed and scale.
+func Report(env *Env) (string, error) { return NewResults(env).Report() }
+
+// Report renders the markdown report from r, running the experiments it
+// has not run yet (cmd/ddosrepro -md FILE writes it).
+func (r *Results) Report() (string, error) {
+	env := r.Env
 	var b strings.Builder
 	fmt.Fprintf(&b, "# Reproduction report\n\n")
 	fmt.Fprintf(&b, "Seed %d, scale %.2f, horizon %d days — %d verified attacks, %d families, %d inferred ASes.\n\n",
 		env.Cfg.Seed, env.Cfg.Scale, env.Cfg.HorizonDays,
 		env.Dataset.Len(), len(env.Dataset.Families()), env.Inferred.Len())
 
-	reportTable1(&b, env)
-	if err := reportFigure1(&b, env); err != nil {
+	reportTable1(&b, r)
+	if err := reportFigure1(&b, r); err != nil {
 		return "", err
 	}
-	if err := reportFigure2(&b, env); err != nil {
+	if err := reportFigure2(&b, r); err != nil {
 		return "", err
 	}
-	if err := reportFigure34(&b, env); err != nil {
+	if err := reportFigure34(&b, r); err != nil {
 		return "", err
 	}
-	if err := reportComparison(&b, env); err != nil {
+	if err := reportComparison(&b, r); err != nil {
 		return "", err
 	}
-	if err := reportFigure5(&b, env); err != nil {
+	if err := reportFigure5(&b, r); err != nil {
 		return "", err
 	}
-	if err := reportAblation(&b, env); err != nil {
+	if err := reportAblation(&b, r); err != nil {
 		return "", err
 	}
 	return b.String(), nil
 }
 
-func reportTable1(b *strings.Builder, env *Env) {
+func reportTable1(b *strings.Builder, all *Results) {
 	fmt.Fprintf(b, "## Table I — activity level of bots\n\n")
 	fmt.Fprintf(b, "| Family | Avg#/Day | Active days | CV | paper Avg | paper days | paper CV |\n")
 	fmt.Fprintf(b, "|---|---|---|---|---|---|---|\n")
-	for _, r := range RunTable1(env) {
+	for _, r := range all.Table1() {
 		fmt.Fprintf(b, "| %s | %.2f | %d | %.2f | %.2f | %d | %.2f |\n",
 			r.Family, r.AvgPerDay, r.ActiveDays, r.CV,
 			r.PaperAvgPerDay, r.PaperActiveDays, r.PaperCV)
@@ -50,8 +126,8 @@ func reportTable1(b *strings.Builder, env *Env) {
 	fmt.Fprintln(b)
 }
 
-func reportFigure1(b *strings.Builder, env *Env) error {
-	series, err := RunFigure1(env, nil)
+func reportFigure1(b *strings.Builder, all *Results) error {
+	series, err := all.Figure1()
 	if err != nil {
 		return err
 	}
@@ -65,8 +141,8 @@ func reportFigure1(b *strings.Builder, env *Env) error {
 	return nil
 }
 
-func reportFigure2(b *strings.Builder, env *Env) error {
-	results, err := RunFigure2(env, nil, 5)
+func reportFigure2(b *strings.Builder, all *Results) error {
+	results, err := all.Figure2()
 	if err != nil {
 		return err
 	}
@@ -82,8 +158,8 @@ func reportFigure2(b *strings.Builder, env *Env) error {
 	return nil
 }
 
-func reportFigure34(b *strings.Builder, env *Env) error {
-	res, err := RunFigure34(env, Figure34Config{})
+func reportFigure34(b *strings.Builder, all *Results) error {
+	res, err := all.Figure34()
 	if err != nil {
 		return err
 	}
@@ -98,8 +174,8 @@ func reportFigure34(b *strings.Builder, env *Env) error {
 	return nil
 }
 
-func reportComparison(b *strings.Builder, env *Env) error {
-	rows, err := RunComparison(env, 5)
+func reportComparison(b *strings.Builder, all *Results) error {
+	rows, err := all.Comparison()
 	if err != nil {
 		return err
 	}
@@ -115,8 +191,8 @@ func reportComparison(b *strings.Builder, env *Env) error {
 	return nil
 }
 
-func reportFigure5(b *strings.Builder, env *Env) error {
-	res, err := RunFigure5(env, Figure5Config{})
+func reportFigure5(b *strings.Builder, all *Results) error {
+	res, err := all.Figure5()
 	if err != nil {
 		return err
 	}
@@ -130,8 +206,8 @@ func reportFigure5(b *strings.Builder, env *Env) error {
 	return nil
 }
 
-func reportAblation(b *strings.Builder, env *Env) error {
-	rows, err := RunAblation(env, Figure34Config{})
+func reportAblation(b *strings.Builder, all *Results) error {
+	rows, err := all.Ablation()
 	if err != nil {
 		return err
 	}

@@ -46,9 +46,8 @@ type Config struct {
 	// RateEnd, when positive, ramps the arrival rate linearly from Rate to
 	// RateEnd across the run (stress ramps; find the shedding knee).
 	RateEnd float64
-	// Batch groups this many records per sink call when the sink
-	// implements BatchSink (HTTPSink: one request per batch; ServiceSink:
-	// one vectorized IngestBatch). Default 1: scalar Ingest calls.
+	// Batch is the records per sink call (HTTPSink: one request;
+	// ServiceSink: one serve.Service.IngestBatch). Default 1.
 	Batch int
 }
 
@@ -68,6 +67,9 @@ func Run(cfg Config, next func() *trace.Attack, sink Sink) (*Report, error) {
 	}
 	if cfg.Workers < 1 {
 		cfg.Workers = 4
+	}
+	if cfg.Batch < 1 {
+		cfg.Batch = 1
 	}
 	if cfg.Mode == OpenLoop && cfg.Rate <= 0 {
 		return nil, errors.New("loadgen: open loop needs Config.Rate")
@@ -91,48 +93,28 @@ func Run(cfg Config, next func() *trace.Attack, sink Sink) (*Report, error) {
 		defer mu.Unlock()
 		return next()
 	}
-	observe := func(d time.Duration) {
-		lats[nLat.Add(1)-1] = float64(d)
-	}
-	deliver := func(a *trace.Attack, due time.Time) {
-		sent.Add(1)
-		res, err := sink.Ingest(a)
-		observe(time.Since(due))
-		switch {
-		case err != nil:
-			errCnt.Add(1)
-		case res.Shed:
-			shed.Add(1)
-		case res.Duplicate:
-			dups.Add(1)
-		case res.Accepted:
-			accepted.Add(1)
-		}
-	}
-	// Batched delivery: one sink call for the run, each record's latency
-	// observed against its own due time (the whole batch completes when
-	// the call returns).
-	bsink, batched := sink.(BatchSink)
-	batched = batched && cfg.Batch > 1
-	deliverBatch := func(items []workItem, recs []*trace.Attack) {
+	// deliver makes one sink call for the items, each record's latency
+	// observed against its own due time (the whole call completes when it
+	// returns).
+	deliver := func(items []workItem, recs []*trace.Attack) {
 		sent.Add(int64(len(items)))
 		recs = recs[:0]
 		for i := range items {
 			recs = append(recs, items[i].a)
 		}
-		br, err := bsink.IngestBatch(recs)
+		res, err := sink.IngestBatch(recs)
 		now := time.Now()
 		for i := range items {
-			observe(now.Sub(items[i].due))
+			lats[nLat.Add(1)-1] = float64(now.Sub(items[i].due))
 		}
 		switch {
 		case err != nil:
 			errCnt.Add(int64(len(items)))
-		case br.Shed:
+		case res.Shed:
 			shed.Add(int64(len(items)))
 		default:
-			accepted.Add(int64(br.Accepted))
-			dups.Add(int64(br.Duplicates))
+			accepted.Add(int64(res.Accepted))
+			dups.Add(int64(res.Duplicates))
 		}
 	}
 
@@ -145,16 +127,6 @@ func Run(cfg Config, next func() *trace.Attack, sink Sink) (*Report, error) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if !batched {
-					for claimed.Add(1) <= int64(cfg.Records) {
-						a := pull()
-						if a == nil {
-							return
-						}
-						deliver(a, time.Now())
-					}
-					return
-				}
 				items := make([]workItem, 0, cfg.Batch)
 				recs := make([]*trace.Attack, 0, cfg.Batch)
 				for {
@@ -173,7 +145,7 @@ func Run(cfg Config, next func() *trace.Attack, sink Sink) (*Report, error) {
 						items = append(items, workItem{a: a, due: time.Now()})
 					}
 					if len(items) > 0 {
-						deliverBatch(items, recs)
+						deliver(items, recs)
 					}
 					if exhausted {
 						return
@@ -182,29 +154,25 @@ func Run(cfg Config, next func() *trace.Attack, sink Sink) (*Report, error) {
 			}()
 		}
 	case OpenLoop:
-		work := make(chan workItem, cfg.Workers*4)
-		workB := make(chan []workItem, cfg.Workers*2)
+		// Two calls queued per worker keep every worker busy without
+		// letting the dispatcher run far ahead of them.
+		work := make(chan []workItem, cfg.Workers*2)
 		for w := 0; w < cfg.Workers; w++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if !batched {
-					for item := range work {
-						deliver(item.a, item.due)
-					}
-					return
-				}
 				recs := make([]*trace.Attack, 0, cfg.Batch)
-				for items := range workB {
-					deliverBatch(items, recs)
+				for items := range work {
+					deliver(items, recs)
 				}
 			}()
 		}
 		// Dispatcher: the k-th arrival is due at the integral of the
 		// linearly ramped rate. If workers fall behind, the send blocks
 		// but due times stay on schedule — the backlog shows up as
-		// latency, which is the point of the open loop. Batched runs group
-		// consecutive arrivals, each keeping its own due time.
+		// latency, which is the point of the open loop. Consecutive
+		// arrivals group into calls of Batch, each keeping its own due
+		// time.
 		due := start
 		var pending []workItem
 		for k := 0; k < cfg.Records; k++ {
@@ -220,21 +188,16 @@ func Run(cfg Config, next func() *trace.Attack, sink Sink) (*Report, error) {
 			if a == nil {
 				break
 			}
-			if !batched {
-				work <- workItem{a: a, due: due}
-				continue
-			}
 			pending = append(pending, workItem{a: a, due: due})
 			if len(pending) >= cfg.Batch {
-				workB <- pending
+				work <- pending
 				pending = nil
 			}
 		}
 		if len(pending) > 0 {
-			workB <- pending
+			work <- pending
 		}
 		close(work)
-		close(workB)
 	}
 	wg.Wait()
 

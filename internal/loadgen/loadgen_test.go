@@ -150,17 +150,17 @@ func TestHTTPSinkClassifiesOutcomes(t *testing.T) {
 	sink := NewHTTPSink(srv.URL)
 	gen := NewGenerator(GenConfig{Targets: 2, Seed: 1, TimeCompress: 24})
 	a := gen.Next()
-	res, err := sink.Ingest(a)
-	if err != nil || !res.Accepted {
+	res, err := sink.IngestBatch([]*trace.Attack{a})
+	if err != nil || res != (Result{Accepted: 1}) {
 		t.Fatalf("first ingest: %+v, %v", res, err)
 	}
-	res, err = sink.Ingest(a)
-	if err != nil || !res.Duplicate {
+	res, err = sink.IngestBatch([]*trace.Attack{a})
+	if err != nil || res != (Result{Duplicates: 1}) {
 		t.Fatalf("repeat ingest: %+v, %v", res, err)
 	}
 	bad := *gen.Next()
 	bad.Family = ""
-	if _, err := sink.Ingest(&bad); err == nil {
+	if _, err := sink.IngestBatch([]*trace.Attack{&bad}); err == nil {
 		t.Fatal("invalid record did not error through the HTTP sink")
 	}
 }
@@ -187,7 +187,8 @@ func TestHTTPSinkReusesConnections(t *testing.T) {
 	})
 	gen := NewGenerator(GenConfig{Targets: 2, Seed: 8, TimeCompress: 24})
 
-	// Serial scalar requests: after the first, every request must reuse.
+	// Serial one-record requests: after the first, every request must
+	// reuse.
 	for i := 0; i < 20; i++ {
 		a := gen.Next()
 		body, err := json.Marshal(a)
@@ -210,10 +211,10 @@ func TestHTTPSinkReusesConnections(t *testing.T) {
 		t.Fatalf("connection reused on %d/20 requests; the sink is defeating keep-alive", got)
 	}
 
-	// The sink's own Ingest path must leave the connection reusable too:
-	// drive it, then confirm a traced request still reuses.
+	// The sink's own calls must leave the connection reusable too: drive
+	// them, then confirm a traced request still reuses.
 	for i := 0; i < 5; i++ {
-		if _, err := sink.Ingest(gen.Next()); err != nil {
+		if _, err := sink.IngestBatch([]*trace.Attack{gen.Next()}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -230,7 +231,7 @@ func TestHTTPSinkReusesConnections(t *testing.T) {
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	if reused.Load() != before+1 {
-		t.Fatal("request after sink.Ingest did not reuse the pooled connection")
+		t.Fatal("request after sink.IngestBatch did not reuse the pooled connection")
 	}
 }
 
@@ -284,27 +285,23 @@ func TestHTTPSinkResendsBodyOn307(t *testing.T) {
 
 	gen := NewGenerator(GenConfig{Targets: 2, Seed: 3, TimeCompress: 24})
 
-	// Scalar path.
+	// A one-record call, then a batch, on each wire.
 	sink := NewHTTPSink(front.URL)
-	res, err := sink.Ingest(gen.Next())
-	if err != nil || !res.Accepted {
-		t.Fatalf("redirected scalar ingest: %+v, %v", res, err)
-	}
-
-	// Both batch wires.
 	for _, wire := range []string{"json", "binary"} {
 		sink.Wire = wire
-		batch := make([]*trace.Attack, 8)
-		for i := range batch {
-			batch[i] = gen.Next()
-		}
-		br, err := sink.IngestBatch(batch)
-		if err != nil || br.Accepted != 8 {
-			t.Fatalf("redirected %s batch: %+v, %v", wire, br, err)
+		for _, n := range []int{1, 8} {
+			batch := make([]*trace.Attack, n)
+			for i := range batch {
+				batch[i] = gen.Next()
+			}
+			br, err := sink.IngestBatch(batch)
+			if err != nil || br.Accepted != n {
+				t.Fatalf("redirected %s batch of %d: %+v, %v", wire, n, br, err)
+			}
 		}
 	}
-	if redirects.Load() != 3 {
-		t.Fatalf("front server saw %d requests, want 3", redirects.Load())
+	if redirects.Load() != 4 {
+		t.Fatalf("front server saw %d requests, want 4", redirects.Load())
 	}
 }
 
@@ -334,6 +331,61 @@ func TestMultiSinkSpraysAcrossSinks(t *testing.T) {
 	}
 	if hits[0].Load() != 3 || hits[1].Load() != 3 {
 		t.Fatalf("round robin skewed: %d vs %d hits", hits[0].Load(), hits[1].Load())
+	}
+}
+
+// TestSinksLeaveIdenticalStores: a record is a batch of one on every
+// client path. One generated stream, with chaos duplicates and reorders,
+// must leave byte-identical store checkpoints whether it reaches the
+// service in-process one or sixteen records per call, or over HTTP one
+// record per request on either wire.
+func TestSinksLeaveIdenticalStores(t *testing.T) {
+	const records = 600
+	run := func(batch int, wire string) []byte {
+		svc := serve.New(testServeConfig())
+		defer svc.Close()
+		var sink Sink = ServiceSink{Svc: svc}
+		if wire != "" {
+			srv := httptest.NewServer(svc.Handler())
+			defer srv.Close()
+			hs := NewHTTPSink(srv.URL)
+			hs.Wire = wire
+			sink = hs
+		}
+		gen := NewGenerator(GenConfig{Targets: 4, Seed: 12, TimeCompress: 24})
+		faults := &chaos.StreamFaults{Seed: 12, DupProb: 0.1, ReorderProb: 0.1}
+		// One worker keeps the arrival order the stream's.
+		rep, err := Run(Config{Mode: ClosedLoop, Records: records, Workers: 1, Batch: batch},
+			faults.Stream(gen.Next), sink)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Errors != 0 || rep.Shed != 0 || rep.Dups == 0 || rep.Accepted+rep.Dups != records {
+			t.Fatalf("batch %d wire %q: sent %d, accepted %d, dups %d, shed %d, errors %d",
+				batch, wire, rep.Sent, rep.Accepted, rep.Dups, rep.Shed, rep.Errors)
+		}
+		if faults.Reordered() == 0 {
+			t.Fatal("chaos reordered nothing")
+		}
+		cp := svc.Store().Checkpoint()
+		for i := range cp {
+			cp[i].SinceRefit = 0 // refit timing, not ingest state
+		}
+		img, err := json.Marshal(cp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return img
+	}
+	want := run(1, "")
+	for _, c := range []struct {
+		batch int
+		wire  string
+	}{{16, ""}, {1, "json"}, {1, "binary"}} {
+		if got := run(c.batch, c.wire); !bytes.Equal(got, want) {
+			t.Fatalf("batch %d wire %q: store diverges from one-record in-process calls:\n got %s\nwant %s",
+				c.batch, c.wire, got, want)
+		}
 	}
 }
 
@@ -433,7 +485,9 @@ func TestReportMarshalJSON(t *testing.T) {
 // nullSink accepts everything instantly.
 type nullSink struct{}
 
-func (nullSink) Ingest(*trace.Attack) (Result, error) { return Result{Accepted: true}, nil }
+func (nullSink) IngestBatch(recs []*trace.Attack) (Result, error) {
+	return Result{Accepted: len(recs)}, nil
+}
 
 // TestReportExactQuantiles pins nearest-rank quantiles over the recorded
 // latencies: with 1..100 ms, p50 is 50 ms and p99 is 99 ms, never above

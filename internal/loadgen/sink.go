@@ -15,67 +15,36 @@ import (
 	"repro/internal/trace"
 )
 
-// Result classifies one ingest attempt.
+// Result classifies one sink call.
 type Result struct {
-	// Accepted: the record entered the store as new.
-	Accepted bool
-	// Duplicate: the record was deduplicated (known attack ID).
-	Duplicate bool
-	// Shed: the service refused the record under load (429 / ErrShedding).
-	Shed bool
-}
-
-// BatchResult classifies one batched ingest attempt.
-type BatchResult struct {
 	// Accepted records entered the store as new.
 	Accepted int
 	// Duplicates were deduplicated (known attack IDs).
 	Duplicates int
-	// Shed: the service refused the whole batch under load (429).
+	// Shed: the service refused the whole call under load (429 /
+	// ErrShedding).
 	Shed bool
 }
 
-// Sink is where the driver pushes records. Implementations classify the
-// outcome; an error means the record was rejected for a non-load reason
-// (validation, transport) and counts against the run.
+// Sink is where the driver pushes records, Config.Batch of them per call
+// (a single record is a batch of one). Implementations classify the
+// outcome; an error means the call was rejected for a non-load reason
+// (validation, transport) and counts every record in it against the run.
 type Sink interface {
-	Ingest(a *trace.Attack) (Result, error)
+	IngestBatch(recs []*trace.Attack) (Result, error)
 }
 
-// BatchSink is the vectorized extension a sink may implement; the driver
-// uses it when Config.Batch > 1 (HTTPSink: one request per batch;
-// ServiceSink: one serve.IngestBatch call).
-type BatchSink interface {
-	Sink
-	IngestBatch(recs []*trace.Attack) (BatchResult, error)
-}
-
-// ServiceSink drives an in-process serve.Service — the zero-transport
-// path, for soak tests and maximum-pressure runs.
+// ServiceSink drives an in-process serve.Service through IngestBatch —
+// the zero-transport path, for soak tests and maximum-pressure runs.
 type ServiceSink struct {
 	Svc *serve.Service
-}
-
-// Ingest implements Sink.
-func (s ServiceSink) Ingest(a *trace.Attack) (Result, error) {
-	ok, err := s.Svc.Ingest(a)
-	switch {
-	case errors.Is(err, serve.ErrShedding):
-		return Result{Shed: true}, nil
-	case err != nil:
-		return Result{}, err
-	case ok:
-		return Result{Accepted: true}, nil
-	default:
-		return Result{Duplicate: true}, nil
-	}
 }
 
 // svcBatchPool recycles ServiceSink.IngestBatch's record scratch.
 var svcBatchPool = sync.Pool{New: func() any { return new([]trace.Attack) }}
 
-// IngestBatch implements BatchSink over serve.Service.IngestBatch.
-func (s ServiceSink) IngestBatch(recs []*trace.Attack) (BatchResult, error) {
+// IngestBatch implements Sink.
+func (s ServiceSink) IngestBatch(recs []*trace.Attack) (Result, error) {
 	bp := svcBatchPool.Get().(*[]trace.Attack)
 	arr := (*bp)[:0]
 	for _, a := range recs {
@@ -86,23 +55,22 @@ func (s ServiceSink) IngestBatch(recs []*trace.Attack) (BatchResult, error) {
 	svcBatchPool.Put(bp)
 	switch {
 	case errors.Is(err, serve.ErrShedding):
-		return BatchResult{Shed: true}, nil
+		return Result{Shed: true}, nil
 	case err != nil:
-		return BatchResult{}, err
+		return Result{}, err
 	}
-	return BatchResult{Accepted: br.Ingested, Duplicates: br.Duplicates}, nil
+	return Result{Accepted: br.Ingested, Duplicates: br.Duplicates}, nil
 }
 
-// HTTPSink drives a live ddosd over POST /ingest: one record per request
-// through Ingest, or one batch per request through IngestBatch on the
-// wire Wire selects.
+// HTTPSink drives a live ddosd over POST /ingest: one request per
+// IngestBatch call, on the wire Wire selects.
 type HTTPSink struct {
 	// BaseURL is the daemon root, e.g. "http://127.0.0.1:8080".
 	BaseURL string
 	// Client defaults to a dedicated client with sane timeouts.
 	Client *http.Client
-	// Wire selects IngestBatch's request encoding: "json" (NDJSON body,
-	// the default) or "binary" (application/x-ddos-batch frames).
+	// Wire selects the request encoding: "json" (NDJSON body, the
+	// default) or "binary" (application/x-ddos-batch frames).
 	Wire string
 
 	bufs sync.Pool // *batchBuf: request-body scratch per in-flight call
@@ -126,41 +94,6 @@ func NewHTTPSink(baseURL string) *HTTPSink {
 				MaxIdleConnsPerHost: 256,
 			},
 		},
-	}
-}
-
-// Ingest implements Sink.
-func (s *HTTPSink) Ingest(a *trace.Attack) (Result, error) {
-	body, err := json.Marshal(a)
-	if err != nil {
-		return Result{}, err
-	}
-	resp, err := s.post("application/json", body)
-	if err != nil {
-		return Result{}, err
-	}
-	// Drain before close so the keep-alive connection returns to the
-	// transport's idle pool instead of being torn down (the success path
-	// below reads the JSON body, but error paths and trailing bytes must
-	// drain too — pinned by TestHTTPSinkReusesConnections).
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	switch resp.StatusCode {
-	case http.StatusOK:
-		var res serve.IngestResult
-		if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
-			return Result{}, fmt.Errorf("loadgen: bad /ingest response: %w", err)
-		}
-		if res.Ingested > 0 {
-			return Result{Accepted: true}, nil
-		}
-		return Result{Duplicate: true}, nil
-	case http.StatusTooManyRequests:
-		return Result{Shed: true}, nil
-	default:
-		return Result{}, fmt.Errorf("loadgen: /ingest returned HTTP %d", resp.StatusCode)
 	}
 }
 
@@ -188,12 +121,12 @@ func (s *HTTPSink) post(contentType string, payload []byte) (*http.Response, err
 	return s.client().Do(req)
 }
 
-// IngestBatch implements BatchSink: all records in one request. The
-// binary wire encodes trace.BatchEncoder frames under the batch content
-// type; the JSON wire sends NDJSON, which /ingest's stream decoder
-// accepts natively — so both wires exercise the same endpoint and the
-// comparison isolates the encoding.
-func (s *HTTPSink) IngestBatch(recs []*trace.Attack) (BatchResult, error) {
+// IngestBatch implements Sink: all records in one request. The binary
+// wire encodes trace.BatchEncoder frames under the batch content type;
+// the JSON wire sends NDJSON, which /ingest's stream decoder accepts
+// natively — so both wires exercise the same endpoint and the comparison
+// isolates the encoding.
+func (s *HTTPSink) IngestBatch(recs []*trace.Attack) (Result, error) {
 	b, _ := s.bufs.Get().(*batchBuf)
 	if b == nil {
 		b = &batchBuf{}
@@ -210,7 +143,7 @@ func (s *HTTPSink) IngestBatch(recs []*trace.Attack) (BatchResult, error) {
 		}
 		for _, a := range recs {
 			if err := b.enc.Encode(a); err != nil {
-				return BatchResult{}, err
+				return Result{}, err
 			}
 		}
 	} else {
@@ -219,14 +152,18 @@ func (s *HTTPSink) IngestBatch(recs []*trace.Attack) (BatchResult, error) {
 		}
 		for _, a := range recs {
 			if err := b.je.Encode(a); err != nil {
-				return BatchResult{}, err
+				return Result{}, err
 			}
 		}
 	}
 	resp, err := s.post(contentType, b.body.Bytes())
 	if err != nil {
-		return BatchResult{}, err
+		return Result{}, err
 	}
+	// Drain before close so the keep-alive connection returns to the
+	// transport's idle pool instead of being torn down (error paths and
+	// trailing bytes must drain too — pinned by
+	// TestHTTPSinkReusesConnections).
 	defer func() {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
@@ -235,13 +172,13 @@ func (s *HTTPSink) IngestBatch(recs []*trace.Attack) (BatchResult, error) {
 	case http.StatusOK:
 		var res serve.IngestResult
 		if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
-			return BatchResult{}, fmt.Errorf("loadgen: bad /ingest response: %w", err)
+			return Result{}, fmt.Errorf("loadgen: bad /ingest response: %w", err)
 		}
-		return BatchResult{Accepted: res.Ingested, Duplicates: res.Duplicates}, nil
+		return Result{Accepted: res.Ingested, Duplicates: res.Duplicates}, nil
 	case http.StatusTooManyRequests:
-		return BatchResult{Shed: true}, nil
+		return Result{Shed: true}, nil
 	default:
-		return BatchResult{}, fmt.Errorf("loadgen: /ingest returned HTTP %d", resp.StatusCode)
+		return Result{}, fmt.Errorf("loadgen: /ingest returned HTTP %d", resp.StatusCode)
 	}
 }
 
@@ -251,7 +188,7 @@ func (s *HTTPSink) IngestBatch(recs []*trace.Attack) (BatchResult, error) {
 // which member received it. Safe for concurrent use when the underlying
 // sinks are.
 type MultiSink struct {
-	Sinks []BatchSink
+	Sinks []Sink
 	next  atomic.Uint64
 }
 
@@ -267,14 +204,7 @@ func NewMultiHTTPSink(baseURLs []string, wire string) *MultiSink {
 	return m
 }
 
-func (m *MultiSink) pick() BatchSink {
-	return m.Sinks[(m.next.Add(1)-1)%uint64(len(m.Sinks))]
-}
-
-// Ingest implements Sink.
-func (m *MultiSink) Ingest(a *trace.Attack) (Result, error) { return m.pick().Ingest(a) }
-
-// IngestBatch implements BatchSink.
-func (m *MultiSink) IngestBatch(recs []*trace.Attack) (BatchResult, error) {
-	return m.pick().IngestBatch(recs)
+// IngestBatch implements Sink.
+func (m *MultiSink) IngestBatch(recs []*trace.Attack) (Result, error) {
+	return m.Sinks[(m.next.Add(1)-1)%uint64(len(m.Sinks))].IngestBatch(recs)
 }

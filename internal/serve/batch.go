@@ -12,7 +12,8 @@ import (
 // pipeline — validate, model lookup, shard lock, detect + append, WAL
 // durability before the ack, online accuracy scoring, refit scheduling.
 // Every caller goes through it: both /ingest wires (one call per
-// request), IngestBatch, Service.Ingest (a batch of one), and cluster
+// request), IngestBatch (WarmStart and in-process clients such as
+// loadgen.ServiceSink, where one record is a batch of one), and cluster
 // replication (IngestBatchReplica). Per-record costs are amortized:
 //
 //   - records are grouped by store shard (counting sort, stable so each

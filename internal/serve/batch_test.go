@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -68,6 +69,43 @@ func TestIngestBinaryBatchHTTP(t *testing.T) {
 	res = decodeBody[IngestResult](t, resp)
 	if resp.StatusCode != http.StatusOK || res.Ingested != 0 {
 		t.Fatalf("empty batch: status %d, result %+v", resp.StatusCode, res)
+	}
+}
+
+// TestBinaryWireRejectsUnusableDurations: the binary wire carries any
+// float64, so a NaN, infinite or huge duration must fail validation like
+// a negative one — 400 naming the record, the records before it applied —
+// and the store must still checkpoint and serve /forecast afterwards.
+func TestBinaryWireRejectsUnusableDurations(t *testing.T) {
+	for _, d := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 5e307} {
+		t.Run(fmt.Sprint(d), func(t *testing.T) {
+			svc := New(testConfig())
+			defer svc.Close()
+			svc.AttachWAL(openWAL(t, t.TempDir(), 0), nil)
+			srv := httptest.NewServer(svc.Handler())
+			defer srv.Close()
+
+			const as = astopo.AS(64512)
+			attacks := mkAttacks(as, 0, 12)
+			attacks[9].DurationSec = d
+			resp := postBinary(t, srv.URL, encodeBinaryBatch(t, attacks))
+			res := decodeBody[IngestResult](t, resp)
+			if resp.StatusCode != http.StatusBadRequest || res.Ingested != 9 || res.Rejected != 1 ||
+				!strings.HasPrefix(res.Error, "record 10: ") {
+				t.Fatalf("status %d, result %+v; want 400 naming record 10 after 9 applied", resp.StatusCode, res)
+			}
+			svc.Flush()
+			if err := svc.CheckpointWAL(); err != nil {
+				t.Fatalf("checkpoint after the reject: %v", err)
+			}
+			resp, err := http.Get(fmt.Sprintf("%s/forecast?target=%d", srv.URL, as))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fc := decodeBody[Forecast](t, resp); resp.StatusCode != http.StatusOK || fc.TargetAS != as {
+				t.Fatalf("/forecast after the reject: status %d, %+v", resp.StatusCode, fc)
+			}
+		})
 	}
 }
 
@@ -321,36 +359,6 @@ func grepLines(s, substr string) string {
 		}
 	}
 	return strings.Join(out, "\n")
-}
-
-// TestIngestBatchMatchesScalar drives the same multi-target stream
-// through the scalar path and the vectorized path and requires
-// byte-identical store state — the shard-grouped application must be
-// invisible.
-func TestIngestBatchMatchesScalar(t *testing.T) {
-	stream := interleavedStream(t)
-
-	scalar := New(testConfig())
-	defer scalar.Close()
-	for i := range stream {
-		a := stream[i]
-		if _, err := scalar.Ingest(&a); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	vec := New(testConfig())
-	defer vec.Close()
-	for lo := 0; lo < len(stream); lo += 7 {
-		hi := min(lo+7, len(stream))
-		if _, err := vec.IngestBatch(stream[lo:hi], nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	if got, want := storeImage(t, vec.Store()), storeImage(t, scalar.Store()); !bytes.Equal(got, want) {
-		t.Fatalf("vectorized store diverges from scalar store:\n got %s\nwant %s", got, want)
-	}
 }
 
 // interleavedStream builds a deterministic multi-target stream with

@@ -74,7 +74,7 @@ func TestAlertsEndpoint(t *testing.T) {
 				TargetIP: 1, Start: t0.Add(time.Duration(i) * 30 * time.Millisecond),
 				DurationSec: 60, Bots: []astopo.IPv4{1, 2, 3},
 			}
-			if ok, err := svc.Ingest(a); err != nil || !ok {
+			if ok, err := ingestOne(svc, a); err != nil || !ok {
 				t.Fatalf("ingest %d: accepted=%v err=%v", i, ok, err)
 			}
 		}

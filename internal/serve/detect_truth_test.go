@@ -61,6 +61,13 @@ func detectServeConfig() serve.Config {
 	}
 }
 
+// ingestOne applies one record as a batch of one and reports whether it
+// was new.
+func ingestOne(svc *serve.Service, a *trace.Attack) (bool, error) {
+	res, err := svc.IngestBatch([]trace.Attack{*a}, nil)
+	return res.Ingested == 1, err
+}
+
 func TestDetectGroundTruth(t *testing.T) {
 	const records = 24000
 	svc := serve.New(detectServeConfig())
@@ -73,7 +80,7 @@ func TestDetectGroundTruth(t *testing.T) {
 		if a.Start.After(until) {
 			until = a.Start
 		}
-		if ok, err := svc.Ingest(a); err != nil || !ok {
+		if ok, err := ingestOne(svc, a); err != nil || !ok {
 			t.Fatalf("record %d (ID %d): accepted=%v err=%v", i, a.ID, ok, err)
 		}
 	}
@@ -193,7 +200,7 @@ func TestDetectPureBaseline(t *testing.T) {
 
 	const records = 8000
 	for i := 0; i < records; i++ {
-		if ok, err := svc.Ingest(gen.Next()); err != nil || !ok {
+		if ok, err := ingestOne(svc, gen.Next()); err != nil || !ok {
 			t.Fatalf("record %d: accepted=%v err=%v", i, ok, err)
 		}
 	}

@@ -27,9 +27,10 @@ import (
 //     dispatches per frame on the first payload byte, so logs holding
 //     legacy JSON frames keep replaying.
 //   - Recovery path: RecoverWAL restores the last durable checkpoint into
-//     the store, replays the WAL tail (stopping cleanly at a torn frame),
-//     re-schedules refits for every recovered target, and waits for the
-//     models to publish before the daemon starts serving.
+//     the store, replays the WAL tail (stopping cleanly at a torn frame,
+//     dropping records that fail ValidateRecord), re-schedules refits
+//     for every recovered target, and waits for the models to publish
+//     before the daemon starts serving.
 //   - Checkpoint path: CheckpointWAL rotates the active segment, writes
 //     the whole store (windows are bounded, so this is cheap) atomically
 //     to checkpoint.json in the WAL dir, and compacts the segments the
@@ -67,6 +68,7 @@ type RecoveryStats struct {
 	Segments          int    // WAL segments visited by replay
 	Replayed          int    // records replayed into the store
 	Duplicates        int    // replayed frames dropped as duplicates
+	Invalid           int    // replayed frames dropped as invalid records
 	Skipped           int    // frames under the checkpoint cut line
 	Truncated         bool   // replay stopped at a torn/corrupt frame
 	TruncatedSeq      uint64 // segment holding the bad frame
@@ -213,8 +215,13 @@ func (s *Service) RecoverWAL(w *wal.WAL, progress func(RecoveryStats)) (Recovery
 		} else if err := json.Unmarshal(rec, &a); err != nil {
 			return fmt.Errorf("serve: wal segment %d holds an undecodable record: %w", seq, err)
 		}
-		if err := ValidateRecord(&a); err != nil {
-			return fmt.Errorf("serve: wal segment %d: %w", seq, err)
+		// A logged record that fails ValidateRecord (acked by a build
+		// with a looser check) is dropped and counted: replaying it would
+		// poison the store, and failing the boot would strand every
+		// record logged after it.
+		if ValidateRecord(&a) != nil {
+			rs.Invalid++
+			return nil
 		}
 		if _, _, ok := s.store.Ingest(&a); ok {
 			rs.Replayed++

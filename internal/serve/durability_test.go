@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -59,7 +60,7 @@ func TestWALRecoveryRoundTrip(t *testing.T) {
 
 	const as = astopo.AS(64512)
 	for _, a := range mkAttacks(as, 0, 20) {
-		if _, err := svc.Ingest(&a); err != nil {
+		if _, err := ingestOne(svc, &a); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -143,6 +144,47 @@ func TestRecoveryPublishesPastQueueDepth(t *testing.T) {
 	}
 	if rs.Refits != targets || svc2.Registry().Size() != targets {
 		t.Fatalf("recovery queued %d refits and published %d targets, want %d of each", rs.Refits, svc2.Registry().Size(), targets)
+	}
+}
+
+// TestRecoveryDropsInvalidRecords: a log written before ValidateRecord
+// rejected non-finite durations may hold such a record. Replay drops and
+// counts it instead of failing the boot or restoring it, so every valid
+// record recovers and the store checkpoints and forecasts again.
+func TestRecoveryDropsInvalidRecords(t *testing.T) {
+	dir := t.TempDir()
+	w := openWAL(t, dir, 0)
+	attacks := mkAttacks(64512, 0, 10)
+	attacks[4].DurationSec = math.NaN()
+	var payloads [][]byte
+	for i := range attacks {
+		p, err := trace.AppendRecord(nil, &attacks[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		payloads = append(payloads, p)
+	}
+	if err := w.AppendBatch(payloads); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+
+	svc := New(testConfig())
+	defer svc.Close()
+	w2 := openWAL(t, dir, 0)
+	rs, err := svc.RecoverWAL(w2, nil)
+	if err != nil {
+		t.Fatalf("boot failed on an invalid logged record: %v", err)
+	}
+	if rs.Replayed != 9 || rs.Invalid != 1 {
+		t.Fatalf("recovery %+v; want 9 replayed, 1 invalid", rs)
+	}
+	svc.AttachWAL(w2, nil)
+	if err := svc.CheckpointWAL(); err != nil {
+		t.Fatalf("checkpoint after recovery: %v", err)
+	}
+	if _, err := svc.Forecast(64512); err != nil {
+		t.Fatalf("recovered target unpublished: %v", err)
 	}
 }
 
@@ -238,7 +280,7 @@ func TestWALCrashRecoveryProperty(t *testing.T) {
 	}
 	var images []image
 	for i := range stream {
-		if _, err := svc.Ingest(&stream[i]); err != nil {
+		if _, err := ingestOne(svc, &stream[i]); err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
 		if rng.Float64() < 0.05 {
@@ -306,7 +348,7 @@ func TestWALRecoveryRejectsCorruptCheckpoint(t *testing.T) {
 	svc := New(cfg)
 	svc.AttachWAL(openWAL(t, dir, 0), nil)
 	for _, a := range mkAttacks(64512, 0, 8) {
-		if _, err := svc.Ingest(&a); err != nil {
+		if _, err := ingestOne(svc, &a); err != nil {
 			t.Fatal(err)
 		}
 	}

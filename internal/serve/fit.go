@@ -304,12 +304,11 @@ func dominantFamily(window []trace.Attack) string {
 // component forecasts.
 const (
 	stFitFrac    = 0.6
-	stMinWindow  = 24
 	stMinSamples = 10
 )
 
 func fitSTModels(as astopo.AS, window []trace.Attack, topo core.SpatialTopology, cfg Config) (*core.Spatiotemporal, core.SpatialTopology) {
-	if len(window) < stMinWindow || len(window) < cfg.MinSTWindow {
+	if len(window) < cfg.MinSTWindow {
 		return nil, core.SpatialTopology{}
 	}
 	samples, prefixTopo := stSamples(as, window, topo, cfg)

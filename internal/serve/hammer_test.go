@@ -44,7 +44,7 @@ func TestHammerConcurrentIngestForecast(t *testing.T) {
 				attacks := mkAttacks(as, int(as)*1000, recordsPerTgt)
 				for i := range attacks {
 					for {
-						_, err := svc.Ingest(&attacks[i])
+						_, err := ingestOne(svc, &attacks[i])
 						if errors.Is(err, ErrShedding) {
 							time.Sleep(time.Millisecond)
 							continue

@@ -33,7 +33,7 @@ func TestScorePredsMatchForecast(t *testing.T) {
 			defer svc.Close()
 			attacks := mkAttacks(64512, 0, tc.records)
 			for i := range attacks {
-				if _, err := svc.Ingest(&attacks[i]); err != nil {
+				if _, err := ingestOne(svc, &attacks[i]); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -78,7 +78,7 @@ func TestIngestScoringSemantics(t *testing.T) {
 	attacks := mkAttacks(64512, 0, 12)
 
 	// First record for a fresh target: nothing to score against.
-	if _, err := svc.Ingest(&attacks[0]); err != nil {
+	if _, err := ingestOne(svc, &attacks[0]); err != nil {
 		t.Fatal(err)
 	}
 	if got := acc.Summary(ModelAlwaysSame).Samples; got != 0 {
@@ -87,7 +87,7 @@ func TestIngestScoringSemantics(t *testing.T) {
 
 	// Second in-order record: baselines score, model kinds do not (no
 	// forecast was published before it arrived).
-	if _, err := svc.Ingest(&attacks[1]); err != nil {
+	if _, err := ingestOne(svc, &attacks[1]); err != nil {
 		t.Fatal(err)
 	}
 	if got := acc.Summary(ModelAlwaysSame).Samples; got != 1 {
@@ -101,7 +101,7 @@ func TestIngestScoringSemantics(t *testing.T) {
 	}
 
 	// A duplicate is dropped before scoring.
-	if ok, _ := svc.Ingest(&attacks[1]); ok {
+	if ok, _ := ingestOne(svc, &attacks[1]); ok {
 		t.Fatal("duplicate accepted")
 	}
 	if got := acc.Summary(ModelAlwaysSame).Samples; got != 1 {
@@ -110,10 +110,10 @@ func TestIngestScoringSemantics(t *testing.T) {
 
 	// An out-of-order (backfilled) record was never "the next attack" any
 	// forecast predicted: appended, not scored.
-	if _, err := svc.Ingest(&attacks[3]); err != nil {
+	if _, err := ingestOne(svc, &attacks[3]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.Ingest(&attacks[2]); err != nil { // starts before [3]
+	if _, err := ingestOne(svc, &attacks[2]); err != nil { // starts before [3]
 		t.Fatal(err)
 	}
 	if got := acc.Summary(ModelAlwaysSame).Samples; got != 2 {
@@ -124,7 +124,7 @@ func TestIngestScoringSemantics(t *testing.T) {
 	// scores, and the NaN measures stay skipped (the temporal model has no
 	// duration output, the spatial model no magnitude output).
 	for i := 4; i < len(attacks); i++ {
-		if _, err := svc.Ingest(&attacks[i]); err != nil {
+		if _, err := ingestOne(svc, &attacks[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -133,7 +133,7 @@ func TestIngestScoringSemantics(t *testing.T) {
 	more := mkAttacks(64512, 100, 6)
 	for i := range more {
 		more[i].Start = last.Add(time.Duration(i+1) * 3 * time.Hour)
-		if _, err := svc.Ingest(&more[i]); err != nil {
+		if _, err := ingestOne(svc, &more[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -166,7 +166,7 @@ func TestScoreArrivalDoesNotAllocate(t *testing.T) {
 	defer svc.Close()
 	attacks := mkAttacks(64512, 0, 12)
 	for i := range attacks {
-		if _, err := svc.Ingest(&attacks[i]); err != nil {
+		if _, err := ingestOne(svc, &attacks[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -193,7 +193,7 @@ func BenchmarkIngestScoring(b *testing.B) {
 	defer svc.Close()
 	attacks := mkAttacks(64512, 0, 12)
 	for i := range attacks {
-		if _, err := svc.Ingest(&attacks[i]); err != nil {
+		if _, err := ingestOne(svc, &attacks[i]); err != nil {
 			b.Fatal(err)
 		}
 	}

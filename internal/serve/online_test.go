@@ -26,7 +26,7 @@ import (
 func ingestAllSync(t *testing.T, svc *Service, attacks []trace.Attack) {
 	t.Helper()
 	for i := range attacks {
-		if _, err := svc.Ingest(&attacks[i]); err != nil {
+		if _, err := ingestOne(svc, &attacks[i]); err != nil {
 			t.Fatalf("ingest record %d: %v", i, err)
 		}
 		svc.Flush()
@@ -409,10 +409,10 @@ func TestPromotionDeterminism(t *testing.T) {
 		defer svc.Close()
 		as1, as2 := mkAttacks(a, 0, 60), mkAttacks(b, 5000, 60)
 		for i := range as1 {
-			if _, err := svc.Ingest(&as1[i]); err != nil {
+			if _, err := ingestOne(svc, &as1[i]); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := svc.Ingest(&as2[i]); err != nil {
+			if _, err := ingestOne(svc, &as2[i]); err != nil {
 				t.Fatal(err)
 			}
 			svc.Flush()

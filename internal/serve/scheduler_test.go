@@ -42,7 +42,7 @@ func publishedTotal(svc *Service, as astopo.AS) uint64 {
 func ingestN(t *testing.T, svc *Service, attacks []trace.Attack, n *int, k int) {
 	t.Helper()
 	for ; k > 0; k-- {
-		if _, err := svc.Ingest(&attacks[*n]); err != nil {
+		if _, err := ingestOne(svc, &attacks[*n]); err != nil {
 			t.Fatal(err)
 		}
 		*n++

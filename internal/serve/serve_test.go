@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -54,6 +55,13 @@ func mkAttacks(as astopo.AS, idBase, n int) []trace.Attack {
 		}
 	}
 	return out
+}
+
+// ingestOne applies one record as a batch of one, as in-process clients
+// do, and reports whether it was new.
+func ingestOne(svc *Service, a *trace.Attack) (bool, error) {
+	res, err := svc.IngestBatch([]trace.Attack{*a}, nil)
+	return res.Ingested == 1, err
 }
 
 func postAttacks(t *testing.T, url string, attacks []trace.Attack) *http.Response {
@@ -301,7 +309,7 @@ func TestIngestShedsOverWatermark(t *testing.T) {
 	defer svc.Close()
 	svc.sched.lag.Store(int64(cfg.LagWatermark) + 1) // simulate backlog
 	a := mkAttacks(64512, 0, 1)
-	if _, err := svc.Ingest(&a[0]); !errors.Is(err, ErrShedding) {
+	if _, err := ingestOne(svc, &a[0]); !errors.Is(err, ErrShedding) {
 		t.Fatalf("err = %v, want ErrShedding", err)
 	}
 	svc.sched.lag.Store(0)
@@ -335,6 +343,10 @@ func TestValidateRecord(t *testing.T) {
 		{"missing family", func(a *trace.Attack) { a.Family = "" }},
 		{"missing start", func(a *trace.Attack) { a.Start = time.Time{} }},
 		{"negative duration", func(a *trace.Attack) { a.DurationSec = -1 }},
+		{"NaN duration", func(a *trace.Attack) { a.DurationSec = math.NaN() }},
+		{"infinite duration", func(a *trace.Attack) { a.DurationSec = math.Inf(1) }},
+		{"negative infinite duration", func(a *trace.Attack) { a.DurationSec = math.Inf(-1) }},
+		{"duration over a year", func(a *trace.Attack) { a.DurationSec = maxDurationSec + 1 }},
 		{"missing target_as", func(a *trace.Attack) { a.TargetAS = 0 }},
 	}
 	if err := ValidateRecord(&good); err != nil {
@@ -527,7 +539,7 @@ func TestSpatiotemporalEngagesOnLongWindows(t *testing.T) {
 
 	attacks := mkAttacks(64512, 0, 40)
 	for i := range attacks {
-		if _, err := svc.Ingest(&attacks[i]); err != nil {
+		if _, err := ingestOne(svc, &attacks[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -547,26 +559,42 @@ func TestSpatiotemporalEngagesOnLongWindows(t *testing.T) {
 	}
 }
 
+// TestWarmStart: WarmStart returns only once every target holding at
+// least MinWindow records is published, however many more ready targets
+// there are than the refit queue holds; a record that fails validation is
+// named by its index in the dataset.
 func TestWarmStart(t *testing.T) {
-	svc := New(testConfig())
+	const targets = 40
+	cfg := queueBoundConfig()
+	var records []trace.Attack
+	for _, tc := range readyTargets(targets, 8) {
+		records = append(records, tc.Attacks...)
+	}
+	records = append(records, mkAttacks(65000, 90000, cfg.MinWindow-1)...) // not ready
+	ds, err := trace.New(records)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := New(cfg)
 	defer svc.Close()
-	a := mkAttacks(64512, 0, 12)
-	a = append(a, mkAttacks(64513, 100, 12)...)
-	ds, err := trace.New(a)
-	if err != nil {
-		t.Fatal(err)
+	if n, err := svc.WarmStart(ds); err != nil || n != len(records) {
+		t.Fatalf("WarmStart = %d, %v; want %d records", n, err, len(records))
 	}
-	n, err := svc.WarmStart(ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 24 {
-		t.Fatalf("warm start ingested %d, want 24", n)
-	}
-	for _, as := range []astopo.AS{64512, 64513} {
-		if _, err := svc.Forecast(as); err != nil {
-			t.Fatalf("AS%d not served after warm start: %v", as, err)
+	for i := 0; i < targets; i++ {
+		if _, err := svc.Forecast(astopo.AS(64512 + i)); err != nil {
+			t.Fatalf("AS%d unpublished after WarmStart: %v", 64512+i, err)
 		}
+	}
+	if got := svc.Registry().Size(); got != targets {
+		t.Fatalf("%d targets published, want %d", got, targets)
+	}
+
+	ds.Attacks[17].DurationSec = math.NaN()
+	svc2 := New(cfg)
+	defer svc2.Close()
+	n, err := svc2.WarmStart(ds)
+	if err == nil || !strings.Contains(err.Error(), "record 17:") || n != 17 {
+		t.Fatalf("WarmStart over an invalid record = %d, %v; want 17 applied and record 17 named", n, err)
 	}
 }
 
@@ -577,7 +605,7 @@ func TestForecastHotPathDoesNotRefit(t *testing.T) {
 	svc := New(testConfig())
 	a := mkAttacks(64512, 0, 12)
 	for i := range a {
-		if _, err := svc.Ingest(&a[i]); err != nil {
+		if _, err := ingestOne(svc, &a[i]); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -538,9 +538,15 @@ func (s *Service) Accuracy() *obs.Accuracy { return s.acc }
 // Flush waits for the refit backlog to drain (tests, shutdown snapshots).
 func (s *Service) Flush() { s.sched.Flush() }
 
-// ErrShedding is returned by Ingest while the refit backlog exceeds the
-// watermark; the HTTP layer maps it to 429.
+// ErrShedding is returned by IngestBatch while the refit backlog exceeds
+// the watermark; the HTTP layer maps it to 429.
 var ErrShedding = errors.New("serve: refit backlog over watermark, shedding ingest")
+
+// maxDurationSec bounds a record's duration. No attack lasts a year, and
+// the bound keeps every sum and square the models take of durations
+// finite: a NaN, infinite or huge duration would leave the store's
+// checkpoint or the target's forecast unencodable.
+const maxDurationSec = 365 * 24 * 3600
 
 // ValidateRecord rejects records the models cannot use.
 func ValidateRecord(a *trace.Attack) error {
@@ -551,29 +557,12 @@ func ValidateRecord(a *trace.Attack) error {
 		return errors.New("serve: record missing family")
 	case a.Start.IsZero():
 		return errors.New("serve: record missing start")
-	case a.DurationSec < 0:
-		return errors.New("serve: negative duration")
+	case !(a.DurationSec >= 0 && a.DurationSec <= maxDurationSec): // NaN fails both
+		return errors.New("serve: duration negative, not finite, or over a year")
 	case a.TargetAS == 0:
 		return errors.New("serve: record missing target_as")
 	}
 	return nil
-}
-
-// Ingest admits one record through the batch body (ingestBatch): dedup +
-// window update in the store, WAL append before the return, online
-// accuracy scoring of the published forecast against the arrival, then a
-// refit mark once the target has accumulated RefitEvery new records (or
-// has enough history for its first fit). Returns whether the record was
-// new. Under backlog it returns ErrShedding without touching the store;
-// a failed WAL append returns ErrNotDurable with the record applied in
-// memory; an invalid record returns the ValidateRecord error.
-func (s *Service) Ingest(a *trace.Attack) (bool, error) {
-	one := [1]trace.Attack{*a}
-	res, _, err := s.ingestBatch(one[:], nil, true)
-	if bad, ok := err.(*BatchRecordError); ok {
-		err = bad.Err
-	}
-	return res.Ingested == 1, err
 }
 
 // ingestStageTimes is one ingest call's wall time per pipeline stage; the
@@ -641,23 +630,40 @@ func (s *Service) Forecast(as astopo.AS) (*Forecast, error) {
 	return s.reg.Forecast(as)
 }
 
-// WarmStart bulk-ingests a dataset (boot-time backfill) and waits for the
-// resulting refits to publish.
+// WarmStart bulk-ingests a dataset (boot-time backfill) through
+// IngestBatch, MaxBatchRecords records per call, and returns once every
+// target holding at least MinWindow records has published. A record that
+// fails validation is reported by its index in ds; the records before it
+// stay applied.
 func (s *Service) WarmStart(ds *trace.Dataset) (int, error) {
 	n := 0
-	for i := range ds.Attacks {
-		ok, err := s.Ingest(&ds.Attacks[i])
+	var chunk []trace.Attack // a copy: ingest writes detector verdicts
+	for lo := 0; lo < len(ds.Attacks); lo += s.cfg.MaxBatchRecords {
+		chunk = append(chunk[:0], ds.Attacks[lo:min(lo+s.cfg.MaxBatchRecords, len(ds.Attacks))]...)
+		res, err := s.IngestBatch(chunk, nil)
 		if errors.Is(err, ErrShedding) {
 			s.sched.Flush()
-			ok, err = s.Ingest(&ds.Attacks[i])
+			res, err = s.IngestBatch(chunk, nil)
+		}
+		n += res.Ingested
+		var bad *BatchRecordError
+		if errors.As(err, &bad) {
+			return n, fmt.Errorf("serve: warm start record %d: %w", lo+bad.Index-1, bad.Err)
 		}
 		if err != nil {
-			return n, fmt.Errorf("serve: warm start record %d: %w", i, err)
-		}
-		if ok {
-			n++
+			return n, fmt.Errorf("serve: warm start: %w", err)
 		}
 	}
+	// Ingest drops marks on a full queue; queue the ready targets still
+	// unpublished with marks that wait for room.
+	s.sched.Flush()
+	var unpublished []astopo.AS
+	for _, as := range s.store.Targets() {
+		if _, ok := s.reg.Lookup(as); !ok {
+			unpublished = append(unpublished, as)
+		}
+	}
+	s.requeueReady(unpublished)
 	s.sched.Flush()
 	return n, nil
 }

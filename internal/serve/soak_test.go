@@ -230,7 +230,7 @@ func TestSoakLoadChaos(t *testing.T) {
 	recovered := false
 	fresh := gen.Next()
 	for attempt := 0; attempt < 100; attempt++ {
-		if _, err := svc.Ingest(fresh); !errors.Is(err, serve.ErrShedding) {
+		if _, err := ingestOne(svc, fresh); !errors.Is(err, serve.ErrShedding) {
 			if err != nil {
 				t.Fatalf("post-storm ingest failed: %v", err)
 			}
@@ -405,10 +405,13 @@ type mirrorSink struct {
 	ref *serve.Store
 }
 
-func (m mirrorSink) Ingest(a *trace.Attack) (loadgen.Result, error) {
-	res, err := loadgen.ServiceSink{Svc: m.svc}.Ingest(a)
-	if err == nil && res.Accepted {
-		m.ref.Ingest(a)
+func (m mirrorSink) IngestBatch(recs []*trace.Attack) (loadgen.Result, error) {
+	res, err := loadgen.ServiceSink{Svc: m.svc}.IngestBatch(recs)
+	if err == nil && !res.Shed {
+		// The reference dedups exactly as the service did.
+		for _, a := range recs {
+			m.ref.Ingest(a)
+		}
 	}
 	return res, err
 }

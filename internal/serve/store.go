@@ -445,16 +445,7 @@ func (s *Store) Targets() []astopo.AS {
 }
 
 // Len returns the number of known targets.
-func (s *Store) Len() int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		n += len(sh.targets)
-		sh.mu.Unlock()
-	}
-	return n
-}
+func (s *Store) Len() int { return int(s.count.Load()) }
 
 // Shards returns the shard count (for /healthz introspection).
 func (s *Store) Shards() int { return len(s.shards) }

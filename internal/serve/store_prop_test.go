@@ -108,9 +108,7 @@ func TestStorePropertiesUnderInterleaving(t *testing.T) {
 			if acceptedTotal != wantUnique {
 				t.Fatalf("accepted %d records, want %d unique", acceptedTotal, wantUnique)
 			}
-			if st.Len() != tc.targets {
-				t.Fatalf("store knows %d targets, want %d", st.Len(), tc.targets)
-			}
+			checkLen(t, st, "ingest", tc.targets)
 
 			// Per-target invariants.
 			for tg := 0; tg < tc.targets; tg++ {
@@ -150,7 +148,39 @@ func TestStorePropertiesUnderInterleaving(t *testing.T) {
 					}
 				}
 			}
+
+			// Len reads the store's target counter: it must match the shard
+			// maps after restore and eviction too.
+			cp := st.Checkpoint()
+			st.Restore(cp) // every target already known
+			checkLen(t, st, "restore over known targets", tc.targets)
+			fresh := NewStore(tc.shards, tc.window)
+			fresh.Restore(cp)
+			checkLen(t, fresh, "restore into an empty store", tc.targets)
+			evicted := 0
+			st.SetMaxTargets(tc.targets, func(astopo.AS) { evicted++ })
+			for tg := 0; tg < tc.targets; tg++ {
+				r := propRecord(astopo.AS(66000+tg), 0)
+				st.Ingest(&r)
+			}
+			if evicted == 0 {
+				t.Fatal("no target evicted over the cap")
+			}
+			checkLen(t, st, "eviction", 2*tc.targets-evicted)
 		})
+	}
+}
+
+// checkLen requires Store.Len, the targets in the shard maps, and want
+// to agree.
+func checkLen(t *testing.T, st *Store, stage string, want int) {
+	t.Helper()
+	n := 0
+	for i := range st.shards {
+		n += len(st.shards[i].targets)
+	}
+	if st.Len() != n || n != want {
+		t.Fatalf("after %s: Len %d, shard maps hold %d, want %d", stage, st.Len(), n, want)
 	}
 }
 
