@@ -1,0 +1,116 @@
+package serve_test
+
+import (
+	"errors"
+	"fmt"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/loadgen"
+	"repro/internal/nn"
+	"repro/internal/obs"
+	"repro/internal/serve"
+	"repro/internal/trace"
+)
+
+// replayConfig is perfbench's serve.Config (ddosd at its flag defaults)
+// with detection off.
+func replayConfig() serve.Config {
+	return serve.Config{
+		Shards:         64,
+		Window:         256,
+		RefitEvery:     8,
+		QueueDepth:     256,
+		Seed:           1,
+		Spatial:        core.SpatialConfig{Train: nn.TrainConfig{Epochs: 120}},
+		TraceCapacity:  64,
+		AccuracyWindow: 512,
+		MaxBatchBytes:  8 << 20,
+
+		IncrementalRefit: true,
+		FullRefitEvery:   8,
+		DriftRatio:       4,
+		PromoWindow:      64,
+		PromoMinSamples:  16,
+		PromoMargin:      0.05,
+	}
+}
+
+// The replay's shape: perfbench's mixed-json stream (64 targets at
+// TimeCompress 1500, 16384 history records), then one-record ingests at
+// mixed-json's rate, scoring every arrival after the first replayScoreFrom.
+const (
+	replayTargets   = 64
+	replayHistory   = 16384
+	replayArrivals  = 8000
+	replayRate      = 400 // arrivals per second
+	replayScoreFrom = 2000
+)
+
+// BenchmarkServedAccuracyReplay measures what a client is served, not
+// what a model scores offline: each arrival is judged against the
+// forecast Service.Forecast answered for its target just before the
+// arrival was ingested, with the refit plane running in the background
+// as it does under load. It reports the served duration's mean relative
+// error (dur_relerr) and the timestamp hit rate (hit_rate) over arrivals
+// replayScoreFrom+1 to replayArrivals. Refits race the arrivals, so two
+// runs of one seed differ; compare commits over the six seeds, in rounds
+// that alternate their order. A run takes about 20 s per seed:
+//
+//	go test -run '^$' -bench BenchmarkServedAccuracyReplay -benchtime 1x ./internal/serve
+func BenchmarkServedAccuracyReplay(b *testing.B) {
+	for seed := uint64(1); seed <= 6; seed++ {
+		b.Run(fmt.Sprintf("seed=%d", seed), func(b *testing.B) {
+			var s obs.Summary
+			for i := 0; i < b.N; i++ {
+				s = servedAccuracyReplay(b, seed)
+			}
+			b.ReportMetric(s.Duration.MeanRelErr, "dur_relerr")
+			b.ReportMetric(s.Timestamp.Rate, "hit_rate")
+			b.ReportMetric(float64(s.Samples), "scored")
+		})
+	}
+}
+
+// servedAccuracyReplay runs one replay on seed's stream and returns the
+// served forecasts' summary.
+func servedAccuracyReplay(b *testing.B, seed uint64) obs.Summary {
+	b.Helper()
+	svc := serve.New(replayConfig())
+	defer svc.Close()
+	gen := loadgen.NewGenerator(loadgen.GenConfig{Targets: replayTargets, Seed: seed, TimeCompress: 1500})
+	hist := make([]trace.Attack, replayHistory)
+	for i := range hist {
+		hist[i] = *gen.Next()
+	}
+	if _, err := svc.WarmStart(&trace.Dataset{Attacks: hist}); err != nil {
+		b.Fatal(err)
+	}
+
+	acc := obs.NewAccuracy(obs.AccuracyConfig{Window: replayArrivals - replayScoreFrom})
+	acc.Model("served")
+	shed := 0
+	t0 := time.Now()
+	for i := 0; i < replayArrivals; i++ {
+		a := gen.Next()
+		time.Sleep(time.Until(t0.Add(time.Duration(i) * time.Second / replayRate)))
+		if fc, err := svc.Forecast(a.TargetAS); err == nil && i >= replayScoreFrom {
+			acc.Score("served", obs.Prediction{
+				Magnitude: fc.Magnitude, DurationSec: fc.DurationSec, Hour: fc.Hour, Day: fc.Day,
+			}, obs.Outcome{
+				Magnitude: float64(a.Magnitude()), DurationSec: a.DurationSec,
+				Hour: float64(a.Hour()), Day: float64(a.Day()),
+			})
+		}
+		if _, err := svc.IngestBatch([]trace.Attack{*a}, nil); errors.Is(err, serve.ErrShedding) {
+			shed++
+		} else if err != nil {
+			b.Fatal(err)
+		}
+	}
+	if shed > 0 {
+		b.Logf("seed %d: %d of %d arrivals shed", seed, shed, replayArrivals)
+	}
+	return acc.Summary("served")
+}
