@@ -367,7 +367,7 @@ func serveBenchRegistry(b *testing.B, n int) *serve.Registry {
 	}
 	sm, err := core.FitSpatial(64512, attacks, core.SpatialConfig{
 		Delays: []int{2}, Hidden: []int{2}, Train: nn.TrainConfig{Epochs: 10},
-	}, core.SpatialTopology{})
+	}, core.SpatialTopology{}, core.SpatialStart{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -93,7 +93,7 @@ func main() {
 		queue       = flag.Int("queue", 256, "refit queue depth")
 		watermark   = flag.Int("watermark", 0, "refit backlog watermark for 429 shedding (0 = queue/2)")
 		seed        = flag.Uint64("seed", 1, "refit determinism seed")
-		epochs      = flag.Int("nar-epochs", 120, "NAR training epochs per refit")
+		epochs      = flag.Int("nar-epochs", 120, "NAR training epochs of a first fit or topology search (carried full refits train min(40, this) from the previous weights; fold-ins 40)")
 		logLevel    = flag.String("log-level", "info", "log level: debug, info, warn, error")
 		logFormat   = flag.String("log-format", "text", "log format: text or json")
 		traceSlow   = flag.Duration("trace-slow", 0, "retain only pipeline traces at least this long (0 = all)")

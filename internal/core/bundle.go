@@ -83,7 +83,7 @@ func TrainBundle(ds *trace.Dataset, cfg BundleConfig) (*Bundle, error) {
 		if len(attacks) > cfg.MaxSeriesLen {
 			attacks = attacks[len(attacks)-cfg.MaxSeriesLen:]
 		}
-		m, err := FitSpatial(as, attacks, cfg.Spatial, SpatialTopology{})
+		m, err := FitSpatial(as, attacks, cfg.Spatial, SpatialTopology{}, SpatialStart{})
 		if err != nil {
 			return nil, fmt.Errorf("core: bundle AS%d: %w", as, err)
 		}

@@ -259,7 +259,7 @@ func TestFitTemporalShortFallsBackToMean(t *testing.T) {
 
 func TestFitSpatialAndPredict(t *testing.T) {
 	attacks := mkTestAttacks(120, "F", 13)
-	m, err := FitSpatial(7, attacks, SpatialConfig{Seed: 5}, SpatialTopology{})
+	m, err := FitSpatial(7, attacks, SpatialConfig{Seed: 5}, SpatialTopology{}, SpatialStart{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestFitSpatialAndPredict(t *testing.T) {
 func TestSpatialTopologyCarriedMatchesGrid(t *testing.T) {
 	attacks := mkTestAttacks(80, "F", 13)
 	cfg := SpatialConfig{Delays: []int{2, 3}, Hidden: []int{3, 5}, Seed: 5, Train: nn.TrainConfig{Epochs: 30}}
-	grid, err := FitSpatial(7, attacks, cfg, SpatialTopology{})
+	grid, err := FitSpatial(7, attacks, cfg, SpatialTopology{}, SpatialStart{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestSpatialTopologyCarriedMatchesGrid(t *testing.T) {
 			t.Fatalf("grid fit %+v left a series on its mean", topo)
 		}
 	}
-	carried, err := FitSpatial(7, attacks, cfg, topo)
+	carried, err := FitSpatial(7, attacks, cfg, topo, SpatialStart{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestSpatialTopologyCarriedMatchesGrid(t *testing.T) {
 	}
 	other := topo
 	other.Hour = Topology{Delays: 4, Hidden: 2}
-	moved, err := FitSpatial(7, attacks, cfg, other)
+	moved, err := FitSpatial(7, attacks, cfg, other, SpatialStart{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,8 +322,60 @@ func TestSpatialTopologyCarriedMatchesGrid(t *testing.T) {
 	}
 }
 
+// TestSpatialWarmStart: a series retrains its start network only when
+// the network has the series' topology, for at most the config's epochs.
+// A zero topology still grid-searches, and a skipped, missing or
+// mismatched start trains cold, as a zero start does. The start networks
+// are never mutated.
+func TestSpatialWarmStart(t *testing.T) {
+	attacks := mkTestAttacks(80, "F", 13)
+	cfg := SpatialConfig{Delays: []int{2, 3}, Hidden: []int{3, 5}, Seed: 5, Train: nn.TrainConfig{Epochs: 30}}
+	prev, err := FitSpatial(7, attacks[:60], cfg, SpatialTopology{}, SpatialStart{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prevJSON, _ := json.Marshal(prev)
+	topo := prev.Topology()
+	fit := func(topo SpatialTopology, start SpatialStart) *Spatial {
+		t.Helper()
+		m, err := FitSpatial(7, attacks, cfg, topo, start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	cold, warm := fit(topo, SpatialStart{}), fit(topo, prev.Start(10, ""))
+	if warm.Topology() != topo {
+		t.Fatalf("warm topology %+v, want %+v", warm.Topology(), topo)
+	}
+	if warm.PredictDuration() == cold.PredictDuration() || warm.PredictHour() == cold.PredictHour() || warm.PredictDay() == cold.PredictDay() {
+		t.Fatal("a warm series predicts what its cold fit does")
+	}
+	capped, _ := json.Marshal(fit(topo, prev.Start(30, "")))
+	for _, epochs := range []int{0, 1000} {
+		if got, _ := json.Marshal(fit(topo, prev.Start(epochs, ""))); !bytes.Equal(got, capped) {
+			t.Fatalf("a start of %d epochs should train the config's 30", epochs)
+		}
+	}
+	if m := fit(topo, prev.Start(10, "day")); m.PredictDay() != cold.PredictDay() || m.PredictHour() != warm.PredictHour() {
+		t.Fatal("skipping day should train only day cold")
+	}
+	other := topo
+	other.Hour = Topology{Delays: 4, Hidden: 2}
+	if m := fit(other, prev.Start(10, "")); m.PredictHour() != fit(other, SpatialStart{}).PredictHour() || m.PredictDuration() != warm.PredictDuration() {
+		t.Fatal("a start of another topology should train only that series cold")
+	}
+	gridJSON, _ := json.Marshal(fit(SpatialTopology{}, SpatialStart{}))
+	if got, _ := json.Marshal(fit(SpatialTopology{}, prev.Start(10, ""))); !bytes.Equal(got, gridJSON) {
+		t.Fatal("a zero topology should grid-search whatever the start")
+	}
+	if after, _ := json.Marshal(prev); !bytes.Equal(after, prevJSON) {
+		t.Fatal("FitSpatial mutated its start networks")
+	}
+}
+
 func TestFitSpatialTooShort(t *testing.T) {
-	if _, err := FitSpatial(7, nil, SpatialConfig{}, SpatialTopology{}); err == nil {
+	if _, err := FitSpatial(7, nil, SpatialConfig{}, SpatialTopology{}, SpatialStart{}); err == nil {
 		t.Error("no attacks should error")
 	}
 }

@@ -66,7 +66,7 @@ func TestIncrementalSpatialTracksFullRefit(t *testing.T) {
 	prefix, tail := attacks[:100], attacks[100:]
 	cfg := SpatialConfig{Delays: []int{2}, Hidden: []int{3}, Seed: 9}
 
-	prev, err := FitSpatial(7, prefix, cfg, SpatialTopology{})
+	prev, err := FitSpatial(7, prefix, cfg, SpatialTopology{}, SpatialStart{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestIncrementalSpatialTracksFullRefit(t *testing.T) {
 	if err != nil {
 		t.Fatalf("IncrementalSpatial on a stationary continuation: %v", err)
 	}
-	full, err := FitSpatial(7, attacks, cfg, SpatialTopology{})
+	full, err := FitSpatial(7, attacks, cfg, SpatialTopology{}, SpatialStart{})
 	if err != nil {
 		t.Fatal(err)
 	}

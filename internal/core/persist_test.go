@@ -49,7 +49,7 @@ func TestTemporalJSONRoundTrip(t *testing.T) {
 
 func TestSpatialJSONRoundTrip(t *testing.T) {
 	attacks := mkTestAttacks(100, "F", 73)
-	m, err := FitSpatial(7, attacks, SpatialConfig{Seed: 5}, SpatialTopology{})
+	m, err := FitSpatial(7, attacks, SpatialConfig{Seed: 5}, SpatialTopology{}, SpatialStart{})
 	if err != nil {
 		t.Fatal(err)
 	}

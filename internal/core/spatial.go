@@ -57,6 +57,17 @@ type SpatialTopology struct {
 	Duration, Hour, Day Topology
 }
 
+// SpatialStart holds, per series, the trained network a fit starts from
+// instead of a seeded random initialisation, and the epochs it trains from
+// there: Epochs, or the config's epochs when those are fewer or Epochs is
+// zero, so a warm start never trains longer than a cold one. A nil
+// series, or one whose network has another topology than the series is
+// fitted with, trains cold. The zero value trains every series cold.
+type SpatialStart struct {
+	Duration, Hour, Day *nn.NAR
+	Epochs              int
+}
+
 // narModel is a NAR with a mean fallback for short series.
 type narModel struct {
 	m    *nn.NAR
@@ -64,26 +75,42 @@ type narModel struct {
 	n    int
 }
 
-// fitNARSeries fits one series: with a zero topology it grid-searches, and
-// with a given one it trains that single network with the seed and call
-// the grid's final fit would use, so a carried topology equal to the
-// grid's choice yields the same model.
-func fitNARSeries(xs []float64, cfg SpatialConfig, topo Topology, seedOffset uint64) *narModel {
+// fitNARSeries fits one series: with a zero topology it grid-searches,
+// with a given one and a from network of that topology it retrains a copy
+// of from (SpatialStart's epochs), and otherwise it trains that single
+// network with the seed and call the grid's final fit would use, so a
+// carried topology equal to the grid's choice yields the same model.
+func fitNARSeries(xs []float64, cfg SpatialConfig, topo Topology, seedOffset uint64, from *nn.NAR, epochs int) *narModel {
 	nm := &narModel{mean: stats.Mean(xs), n: len(xs)}
 	if len(xs) < 12 {
 		return nm
 	}
 	var m *nn.NAR
 	var err error
-	if topo == (Topology{}) {
+	switch {
+	case topo == (Topology{}):
 		m, err = nn.GridSearchNAR(xs, cfg.Delays, cfg.Hidden, cfg.Seed+seedOffset, cfg.Train)
-	} else {
+	case from != nil && from.Delays == topo.Delays && from.HiddenNodes() == topo.Hidden:
+		train := cfg.Train
+		if epochs > 0 && epochs < train.Epochs {
+			train.Epochs = epochs
+		}
+		m, err = from.Refit(xs, train)
+	default:
 		m, err = nn.FitNAR(xs, nn.NARConfig{Delays: topo.Delays, Hidden: topo.Hidden, Seed: cfg.Seed + seedOffset, Train: cfg.Train})
 	}
 	if err == nil {
 		nm.m = m
 	}
 	return nm
+}
+
+// net returns the series' network, nil for the mean fallback.
+func (nm *narModel) net() *nn.NAR {
+	if nm == nil {
+		return nil
+	}
+	return nm.m
 }
 
 // topology reports the series' network shape, zero for the mean fallback.
@@ -117,8 +144,11 @@ func (nm *narModel) update(x float64) {
 
 // FitSpatial estimates the spatial model on the chronological attacks
 // targeting one AS. Each series grid-searches its topology when topo leaves
-// it zero and trains one network with the given topology otherwise.
-func FitSpatial(as astopo.AS, attacks []trace.Attack, cfg SpatialConfig, topo SpatialTopology) (*Spatial, error) {
+// it zero and trains one network with the given topology otherwise: from
+// a copy of start's network for the series when that has the topology (a
+// warm start), and from a seeded random initialisation when not. The
+// start networks are never mutated.
+func FitSpatial(as astopo.AS, attacks []trace.Attack, cfg SpatialConfig, topo SpatialTopology, start SpatialStart) (*Spatial, error) {
 	if len(attacks) < 3 {
 		return nil, errors.New("core: spatial model needs at least 3 attacks")
 	}
@@ -133,10 +163,26 @@ func FitSpatial(as astopo.AS, attacks []trace.Attack, cfg SpatialConfig, topo Sp
 	}
 	return &Spatial{
 		AS:       as,
-		duration: fitNARSeries(durs, cfg, topo.Duration, 1),
-		hour:     fitNARSeries(hours, cfg, topo.Hour, 2),
-		day:      fitNARSeries(days, cfg, topo.Day, 3),
+		duration: fitNARSeries(durs, cfg, topo.Duration, 1, start.Duration, start.Epochs),
+		hour:     fitNARSeries(hours, cfg, topo.Hour, 2, start.Hour, start.Epochs),
+		day:      fitNARSeries(days, cfg, topo.Day, 3, start.Day, start.Epochs),
 	}, nil
+}
+
+// Start returns the model's networks as a warm start that trains epochs.
+// The series named skip (duration, hour or day, as SeriesError names
+// them) and any series that fell back to its mean have no network there.
+func (s *Spatial) Start(epochs int, skip string) SpatialStart {
+	start := SpatialStart{Duration: s.duration.net(), Hour: s.hour.net(), Day: s.day.net(), Epochs: epochs}
+	switch skip {
+	case "duration":
+		start.Duration = nil
+	case "hour":
+		start.Hour = nil
+	case "day":
+		start.Day = nil
+	}
+	return start
 }
 
 // Topology returns each series' fitted network shape; a series that fell

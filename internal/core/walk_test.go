@@ -51,7 +51,7 @@ func TestWalkStepRowIgnoresLabel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sm, err := FitSpatial(7, hist, SpatialConfig{Seed: 5}, SpatialTopology{})
+		sm, err := FitSpatial(7, hist, SpatialConfig{Seed: 5}, SpatialTopology{}, SpatialStart{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -188,7 +188,7 @@ func collectSamples(env *Env, cfg Figure34Config) ([]stSample, int, error) {
 		if len(attacks) > cfg.MaxSeriesLen {
 			attacks = attacks[len(attacks)-cfg.MaxSeriesLen:]
 		}
-		m, err := core.FitSpatial(ases[i], attacks, spCfg, core.SpatialTopology{})
+		m, err := core.FitSpatial(ases[i], attacks, spCfg, core.SpatialTopology{}, core.SpatialStart{})
 		if err != nil {
 			return nil, nil
 		}

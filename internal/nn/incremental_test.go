@@ -3,6 +3,7 @@ package nn
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -72,5 +73,55 @@ func TestIncrementalWarmRefitFlagsRegimeChange(t *testing.T) {
 	}
 	if _, err := m.WarmRefit(shifted, 40, 4); !errors.Is(err, ErrDrift) {
 		t.Fatalf("WarmRefit on a regime change: got %v, want ErrDrift", err)
+	}
+}
+
+// TestNARRefitStartsFromWeights: Refit is FitNAR with the receiver's
+// network as the starting point, so from the network FitNAR draws it
+// trains the same model bit for bit. A warm Refit keeps the topology,
+// takes its scaler from the new series and never mutates the receiver.
+func TestNARRefitStartsFromWeights(t *testing.T) {
+	xs := sineSeries(80, 0)
+	cfg := NARConfig{Delays: 3, Hidden: 4, Seed: 9, Train: TrainConfig{Epochs: 25}}
+	want, err := FitNAR(xs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := NewNetwork(cfg.Delays, cfg.Hidden, cfg.Seed+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := (&NAR{Delays: cfg.Delays, net: net}).Refit(xs, cfg.Train)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("Refit from FitNAR's initial network differs from FitNAR")
+	}
+
+	ys := sineSeries(80, 1.5)
+	before := want.Clone()
+	warm, err := want.Refit(ys, TrainConfig{Epochs: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, before) {
+		t.Fatal("Refit mutated the receiver")
+	}
+	if warm.Delays != cfg.Delays || warm.HiddenNodes() != cfg.Hidden {
+		t.Fatalf("warm topology %d×%d, want %d×%d", warm.Delays, warm.HiddenNodes(), cfg.Delays, cfg.Hidden)
+	}
+	cold, err := FitNAR(ys, NARConfig{Delays: cfg.Delays, Hidden: cfg.Hidden, Seed: cfg.Seed, Train: TrainConfig{Epochs: 10}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(warm.scaler, cold.scaler) || !reflect.DeepEqual(warm.tail, cold.tail) {
+		t.Fatal("warm scaler or tail is not the new series'")
+	}
+	if reflect.DeepEqual(warm.net, cold.net) {
+		t.Fatal("warm network equals a cold fit's")
+	}
+	if _, err := want.Refit(ys[:cfg.Delays+1], TrainConfig{}); err == nil {
+		t.Fatal("Refit accepted a series too short for its delays")
 	}
 }

@@ -47,22 +47,42 @@ func FitNAR(xs []float64, cfg NARConfig) (*NAR, error) {
 	if len(xs) < cfg.Delays+2 {
 		return nil, errors.New("nn: series too short for NAR delays")
 	}
-	scaler := timeseries.FitScaler(xs)
-	z := scaler.Transform(xs)
-	rows, ys, err := timeseries.LagMatrix(z, cfg.Delays)
-	if err != nil {
-		return nil, err
-	}
 	net, err := NewNetwork(cfg.Delays, cfg.Hidden, cfg.Seed+1)
 	if err != nil {
 		return nil, err
 	}
 	net.Act = cfg.Act
-	if _, err := net.Train(rows, ys, &cfg.Train); err != nil {
+	return trainNAR(xs, net, cfg.Delays, cfg.Train)
+}
+
+// Refit trains a new model on the whole series xs, starting from a copy
+// of the receiver's weights instead of a seeded random initialisation: a
+// warm start. Everything else is FitNAR's: the topology is the
+// receiver's, and the scaler, lag rows and walk-forward tail come from xs.
+// Unlike WarmRefit, which trains only on the rows of new observations,
+// Refit re-estimates the network on every row of xs. The receiver is
+// never mutated.
+func (m *NAR) Refit(xs []float64, train TrainConfig) (*NAR, error) {
+	if len(xs) < m.Delays+2 {
+		return nil, errors.New("nn: series too short for NAR delays")
+	}
+	return trainNAR(xs, m.net.Clone(), m.Delays, train)
+}
+
+// trainNAR standardizes xs, trains net on its lag rows and returns the
+// model holding net.
+func trainNAR(xs []float64, net *Network, delays int, train TrainConfig) (*NAR, error) {
+	scaler := timeseries.FitScaler(xs)
+	z := scaler.Transform(xs)
+	rows, ys, err := timeseries.LagMatrix(z, delays)
+	if err != nil {
 		return nil, err
 	}
-	m := &NAR{Delays: cfg.Delays, net: net, scaler: scaler}
-	m.tail = append(m.tail, z[len(z)-cfg.Delays:]...)
+	if _, err := net.Train(rows, ys, &train); err != nil {
+		return nil, err
+	}
+	m := &NAR{Delays: delays, net: net, scaler: scaler}
+	m.tail = append(m.tail, z[len(z)-delays:]...)
 	return m, nil
 }
 

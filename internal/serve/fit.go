@@ -20,23 +20,32 @@ import (
 // component models are then refitted on the full window for serving.
 
 // fitTarget builds a target's models from its window. prev is the target's
-// published generation (nil before its first fit); it supplies the NAR
-// topology a carry refit trains with (searchDue). The caller provides the
-// fit generation and the all-time ingest total for provenance. Windows
-// shorter than cfg.MinWindow return an error (the target is not ready).
-func fitTarget(prev *TargetModels, as astopo.AS, window []trace.Attack, total uint64, gen uint64, cfg Config) (*TargetModels, error) {
+// published generation (nil before its first fit). A carried full refit
+// (searchDue false) trains prev's NAR topology and starts every network
+// from prev's: the window networks from prev.Spatial, except the series
+// drifted names (the spatial series whose drift diagnostic aborted this
+// refit's fold-in, "" for none), and stSamples' prefix networks from
+// prev.prefix. The caller provides the fit generation and the all-time
+// ingest total for provenance. Windows shorter than cfg.MinWindow return
+// an error (the target is not ready).
+func fitTarget(prev *TargetModels, drifted string, as astopo.AS, window []trace.Attack, total uint64, gen uint64, cfg Config) (*TargetModels, error) {
 	if len(window) < cfg.MinWindow {
 		return nil, fmt.Errorf("serve: AS%d window %d below minimum %d", as, len(window), cfg.MinWindow)
 	}
 	fitWin, filtered := filterVerdicts(window, cfg)
 	family := dominantFamily(fitWin)
 
-	// A search refit leaves the topology zero, so the NAR grid runs; a
-	// carry refit trains the previous generation's topology.
+	// A search refit leaves the topology and the starts zero, so the NAR
+	// grid runs and every network trains cold; a carry refit trains the
+	// previous generation's topology from its weights.
 	var topo core.SpatialTopology
+	var start core.SpatialStart
+	var prefixFrom prefixModel
 	prov := Provenance{Refit: refitFull, FilteredRecords: filtered, SearchWindow: len(fitWin)}
 	if !searchDue(prev, len(fitWin)) {
 		topo = prev.Spatial.Topology()
+		start = prev.Spatial.Start(warmEpochs, drifted)
+		prefixFrom = prev.prefix
 		prov.SearchWindow = prev.Prov.SearchWindow
 		prov.FullRefitsSinceSearch = prev.Prov.FullRefitsSinceSearch + 1
 	}
@@ -46,16 +55,16 @@ func fitTarget(prev *TargetModels, as astopo.AS, window []trace.Attack, total ui
 	// prefix spatial fit runs the grid for every series topo leaves zero,
 	// and the window fit below reuses the prefix's choice, so the topology
 	// never sees the records the walk labels.
-	st, prefixTopo := fitSTModels(as, fitWin, topo, cfg)
-	if prefixTopo != (core.SpatialTopology{}) {
-		topo = prefixTopo
+	st, prefix := fitSTModels(as, fitWin, topo, prefixFrom, cfg)
+	if prefix.sm != nil && prefix.sm.Topology() != (core.SpatialTopology{}) {
+		topo = prefix.sm.Topology()
 	}
 
 	tm, err := core.FitTemporal(family, fitWin, cfg.Temporal)
 	if err != nil {
 		return nil, fmt.Errorf("serve: AS%d temporal: %w", as, err)
 	}
-	sm, err := core.FitSpatial(as, fitWin, spatialCfg(as, cfg), topo)
+	sm, err := core.FitSpatial(as, fitWin, spatialCfg(as, cfg), topo, start)
 	if err != nil {
 		return nil, fmt.Errorf("serve: AS%d spatial: %w", as, err)
 	}
@@ -72,6 +81,7 @@ func fitTarget(prev *TargetModels, as astopo.AS, window []trace.Attack, total ui
 		FittedAt:   time.Now().UTC(),
 		LastStart:  window[len(window)-1].Start,
 		Prov:       prov,
+		prefix:     prefix,
 	}, nil
 }
 
@@ -119,9 +129,11 @@ func filterVerdicts(window []trace.Attack, cfg Config) ([]trace.Attack, int) {
 	return out, len(window) - clean
 }
 
-// warmEpochs is the per-series RPROP budget of an incremental spatial
-// refit: enough to fold a short tail into warm-started weights, far below
-// the full grid search's per-candidate cost.
+// warmEpochs is the per-series RPROP budget of a network that starts
+// from the previous generation's weights: an incremental refit folding a
+// short tail in, and a carried full refit retraining on its whole window
+// (capped there at Config.Spatial.Train.Epochs, -nar-epochs). First fits
+// and searches train cold for Config.Spatial.Train.Epochs.
 const warmEpochs = 40
 
 // errNotEligible marks windows the incremental path must decline (the
@@ -251,7 +263,8 @@ func fitTargetIncremental(prev *TargetModels, as astopo.AS, window []trace.Attac
 		Family:     prev.Family,
 		Temporal:   tm,
 		Spatial:    sm,
-		ST:         prev.ST, // immutable; re-fit on the next full refit
+		ST:         prev.ST,     // immutable; re-fit on the next full refit
+		prefix:     prev.prefix, // the next carried full refit's prefix starts here
 		Ctx:        core.ContextOf(fitWin),
 		Window:     len(window),
 		Total:      total,
@@ -298,45 +311,65 @@ func dominantFamily(window []trace.Attack) string {
 }
 
 // fitSTModels grows the target's model trees from the walk-forward samples
-// stSamples builds. It also returns the topology of stSamples' prefix
-// spatial model (zero when there was none). Returns a nil tree when the
-// window is too short or any stage fails — the target then serves
-// component forecasts.
+// stSamples builds. It also returns stSamples' prefix spatial model (zero
+// when there was none). Returns a nil tree when the window is too short or
+// any stage fails — the target then serves component forecasts.
 const (
 	stFitFrac    = 0.6
 	stMinSamples = 10
 )
 
-func fitSTModels(as astopo.AS, window []trace.Attack, topo core.SpatialTopology, cfg Config) (*core.Spatiotemporal, core.SpatialTopology) {
+func fitSTModels(as astopo.AS, window []trace.Attack, topo core.SpatialTopology, from prefixModel, cfg Config) (*core.Spatiotemporal, prefixModel) {
 	if len(window) < cfg.MinSTWindow {
-		return nil, core.SpatialTopology{}
+		return nil, prefixModel{}
 	}
-	samples, prefixTopo := stSamples(as, window, topo, cfg)
+	samples, prefix := stSamples(as, window, topo, from, cfg)
 	if len(samples) < stMinSamples {
-		return nil, prefixTopo
+		return nil, prefix
 	}
 	st, err := core.FitSpatiotemporal(samples, cfg.ST)
 	if err != nil {
-		return nil, prefixTopo
+		return nil, prefix
 	}
-	return st, prefixTopo
+	return st, prefix
+}
+
+// prefixModel is the spatial model stSamples fitted on a window's prefix
+// and walked through the rest of the window, with seen, the newest Start
+// that any fit in its chain of warm starts trained on. The walk moves the
+// model's lag state, never its weights, and a warm start reads only the
+// weights. A later prefix may start from these networks only while seen
+// sorts strictly before the first record its walk labels.
+type prefixModel struct {
+	sm   *core.Spatial
+	seen time.Time
 }
 
 // stSamples fits throwaway component models on the leading stFitFrac of
 // the window — the spatial one with topo, grid-searching its zero series —
 // and walks the remainder with core.WalkStep, one labelled row per attack.
-// It returns the rows and the prefix spatial model's topology. Returns
-// nil rows when a component fit fails.
-func stSamples(as astopo.AS, window []trace.Attack, topo core.SpatialTopology, cfg Config) ([]core.STSample, core.SpatialTopology) {
+// The prefix networks start from's networks when nothing from's chain
+// trained on is a record the walk labels, and cold otherwise. It returns
+// the rows and the prefix spatial model. Returns nil rows when a
+// component fit fails.
+func stSamples(as astopo.AS, window []trace.Attack, topo core.SpatialTopology, from prefixModel, cfg Config) ([]core.STSample, prefixModel) {
 	fitEnd := int(stFitFrac * float64(len(window)))
 	prefix := window[:fitEnd]
 	tm, err := core.FitTemporal(dominantFamily(prefix), prefix, cfg.Temporal)
 	if err != nil {
-		return nil, core.SpatialTopology{}
+		return nil, prefixModel{}
 	}
-	sm, err := core.FitSpatial(as, prefix, spatialCfg(as, cfg), topo)
+	var start core.SpatialStart
+	seen := prefix[fitEnd-1].Start // FitTemporal needs 3 attacks; the window is sorted by Start
+	if from.sm != nil && from.seen.Before(window[fitEnd].Start) {
+		start = from.sm.Start(warmEpochs, "")
+		if from.seen.After(seen) {
+			seen = from.seen
+		}
+	}
+	sm, err := core.FitSpatial(as, prefix, spatialCfg(as, cfg), topo, start)
 	if err != nil {
-		return nil, core.SpatialTopology{}
+		return nil, prefixModel{}
 	}
 	var ctx core.ContextTracker
 	for i := range prefix {
@@ -346,5 +379,5 @@ func stSamples(as astopo.AS, window []trace.Attack, topo core.SpatialTopology, c
 	for i := fitEnd; i < len(window); i++ {
 		samples = append(samples, core.WalkStep(tm, sm, &ctx, as, &window[i]))
 	}
-	return samples, sm.Topology()
+	return samples, prefixModel{sm: sm, seen: seen}
 }

@@ -63,6 +63,13 @@ type TargetModels struct {
 	// path must decline. Zero (e.g. a pre-fence snapshot) declines too.
 	LastStart time.Time `json:"last_start"`
 
+	// prefix is the spatial model stSamples fitted in the last full refit,
+	// which the next carried full refit's prefix starts from. Incremental
+	// generations carry it unchanged. Not serialized: a generation loaded
+	// from a snapshot or checkpoint has none, so its next prefix trains
+	// cold.
+	prefix prefixModel
+
 	// predsReady/predsVal cache the point predictions the online accuracy
 	// tracker scores. Models in a published snapshot are immutable, so
 	// their forecasts are constants per generation — computing them once

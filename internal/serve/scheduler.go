@@ -2,6 +2,7 @@ package serve
 
 import (
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -92,7 +93,13 @@ func (s *scheduler) fitOnline(as astopo.AS, window []trace.Attack, total uint64,
 		}
 	}
 	if tm == nil {
-		if tm, err = fitTarget(prev, as, window, total, gen, cfg); err != nil {
+		// A carried full refit starts from prev's networks, except the one
+		// whose drift diagnostic just failed on the tail.
+		var drifted string
+		if series, ok := strings.CutPrefix(reason, "drift_spatial_"); ok {
+			drifted = series
+		}
+		if tm, err = fitTarget(prev, drifted, as, window, total, gen, cfg); err != nil {
 			return nil, err
 		}
 		s.tel.refitFull.With(reason).Inc()

@@ -176,7 +176,7 @@ func TestRegistryUnknownTarget(t *testing.T) {
 func TestRegistrySnapshotSwapConsistency(t *testing.T) {
 	cfg := testConfig().withDefaults()
 	r := NewRegistry()
-	tm1, err := fitTarget(nil, 64512, mkAttacks(64512, 0, 12), 12, r.NextGeneration(), cfg)
+	tm1, err := fitTarget(nil, "", 64512, mkAttacks(64512, 0, 12), 12, r.NextGeneration(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestRegistrySnapshotSwapConsistency(t *testing.T) {
 	// Publish a second generation; the old forecast value must be
 	// reproducible from the snapshot it came from, and the new one must
 	// carry the bumped version and generation.
-	tm2, err := fitTarget(nil, 64512, mkAttacks(64512, 100, 16), 28, r.NextGeneration(), cfg)
+	tm2, err := fitTarget(nil, "", 64512, mkAttacks(64512, 100, 16), 28, r.NextGeneration(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	var batch []*TargetModels
 	for i, as := range []astopo.AS{64512, 64513, 64514} {
-		tm, err := fitTarget(nil, as, mkAttacks(as, i*100, 12), 12, r.NextGeneration(), cfg)
+		tm, err := fitTarget(nil, "", as, mkAttacks(as, i*100, 12), 12, r.NextGeneration(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -513,6 +513,24 @@ func TestIngestRejectsBadRecordsAndMethods(t *testing.T) {
 		t.Fatalf("malformed JSON status %d, want 400", resp.StatusCode)
 	}
 	resp.Body.Close()
+}
+
+// TestWriteJSONEncodeFailureIs500: a response that does not encode, such
+// as a forecast holding a NaN, answers 500 with a JSON error body instead
+// of the intended status with an empty body.
+func TestWriteJSONEncodeFailureIs500(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, &Forecast{TargetAS: 64512, Hour: math.NaN()})
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500", rec.Code)
+	}
+	var body struct{ Error string }
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || body.Error == "" {
+		t.Fatalf("body %q is not a JSON error (%v)", rec.Body.String(), err)
+	}
+	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("Content-Type %q, want application/json", ct)
+	}
 }
 
 func TestIngestBatchCap(t *testing.T) {

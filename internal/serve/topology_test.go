@@ -59,7 +59,7 @@ func TestTopologySearchPolicy(t *testing.T) {
 	// with topo, so the next generation shows whether it carried it.
 	withTopology := func(topo core.SpatialTopology) func(*TargetModels) {
 		return func(prev *TargetModels) {
-			sm, err := core.FitSpatial(as, attacks[:prev.Window], spatialCfg(as, cfg), topo)
+			sm, err := core.FitSpatial(as, attacks[:prev.Window], spatialCfg(as, cfg), topo, core.SpatialStart{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -105,7 +105,7 @@ func TestTopologySearchPolicy(t *testing.T) {
 		if st.incremental {
 			tm, err = fitTargetIncremental(prev, as, window, uint64(st.n), uint64(i+1), cfg)
 		} else {
-			tm, err = fitTarget(prev, as, window, uint64(st.n), uint64(i+1), cfg)
+			tm, err = fitTarget(prev, "", as, window, uint64(st.n), uint64(i+1), cfg)
 		}
 		if err != nil {
 			t.Fatalf("step %d (%s): %v", i, st.name, err)
@@ -179,11 +179,11 @@ func TestTopologyProvenanceRoundTrip(t *testing.T) {
 	const as = astopo.AS(64512)
 	cfg := topologyConfig()
 	attacks := irregularAttacks(as, 0, 44)
-	first, err := fitTarget(nil, as, attacks[:40], 40, 1, cfg)
+	first, err := fitTarget(nil, "", as, attacks[:40], 40, 1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tm, err := fitTarget(first, as, attacks, 44, 2, cfg)
+	tm, err := fitTarget(first, "", as, attacks, 44, 2, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestTopologyLegacySnapshotSearches(t *testing.T) {
 		if prev.Prov.SearchWindow != 0 || prev.Prov.FullRefitsSinceSearch != 0 {
 			t.Fatalf("AS%d: the fixture already has search fields %+v", as, prev.Prov)
 		}
-		tm, err := fitTarget(prev, as, irregularAttacks(as, 0, 50), 50, prev.Generation+1, cfg)
+		tm, err := fitTarget(prev, "", as, irregularAttacks(as, 0, 50), 50, prev.Generation+1, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"testing"
@@ -34,9 +35,12 @@ func irregularAttacks(as astopo.AS, idBase, n int) []trace.Attack {
 
 // TestLeakGuardSTSamples pins that a training row is built before its
 // label is seen: changing the labelled attack's Start, duration or
-// magnitude leaves that attack's own row unchanged. It runs once with the
-// prefix grid-searching its topology and once with a carried topology
-// the grid would not pick.
+// magnitude leaves that attack's own row unchanged. It runs with the
+// prefix grid-searching its topology, with a carried topology the grid
+// would not pick, and with that topology warm-started from the prefix
+// network of a previous generation fitted on the same data. The
+// perturbation reaches that previous generation too, so the row stays
+// unchanged only if nothing its prefix trained on is a labelled record.
 func TestLeakGuardSTSamples(t *testing.T) {
 	const as = astopo.AS(64512)
 	cfg := testConfig()
@@ -44,13 +48,36 @@ func TestLeakGuardSTSamples(t *testing.T) {
 	fitEnd := int(stFitFrac * float64(len(window)))
 	const j = 30 // a labelled attack inside the walk
 	carried := core.Topology{Delays: 3, Hidden: 3}
-	for _, topo := range []core.SpatialTopology{{}, {Duration: carried, Hour: carried, Day: carried}} {
-		base, _ := stSamples(as, window, topo, cfg)
+	carriedTopo := core.SpatialTopology{Duration: carried, Hour: carried, Day: carried}
+	for _, tc := range []struct {
+		name string
+		topo core.SpatialTopology
+		warm bool
+	}{
+		{"grid", core.SpatialTopology{}, false},
+		{"carried", carriedTopo, false},
+		{"carried warm", carriedTopo, true},
+	} {
+		rows := func(data []trace.Attack) []core.STSample {
+			var from prefixModel
+			if tc.warm {
+				_, from = stSamples(as, data[:36], tc.topo, prefixModel{}, cfg)
+				if from.sm == nil {
+					t.Fatalf("%s: no previous prefix", tc.name)
+				}
+			}
+			got, _ := stSamples(as, data, tc.topo, from, cfg)
+			return got
+		}
+		base := rows(window)
 		if len(base) != len(window)-fitEnd {
-			t.Fatalf("topology %+v: %d samples, want %d", topo, len(base), len(window)-fitEnd)
+			t.Fatalf("%s: %d samples, want %d", tc.name, len(base), len(window)-fitEnd)
+		}
+		if cold, _ := stSamples(as, window, tc.topo, prefixModel{}, cfg); tc.warm && cold[j-fitEnd].F == base[j-fitEnd].F {
+			t.Fatalf("%s: the warm prefix builds the cold prefix's row; the case does not exercise the start", tc.name)
 		}
 		want := base[j-fitEnd].F
-		for _, tc := range []struct {
+		for _, p := range []struct {
 			name    string
 			perturb func(a *trace.Attack)
 		}{
@@ -59,10 +86,58 @@ func TestLeakGuardSTSamples(t *testing.T) {
 			{"magnitude", func(a *trace.Attack) { a.Bots = make([]astopo.IPv4, 2*len(a.Bots)+1) }},
 		} {
 			mod := append([]trace.Attack(nil), window...)
-			tc.perturb(&mod[j])
-			if got, _ := stSamples(as, mod, topo, cfg); got[j-fitEnd].F != want {
-				t.Errorf("topology %+v, %s: perturbing attack %d changed its own row:\n got %+v\nwant %+v", topo, tc.name, j, got[j-fitEnd].F, want)
+			p.perturb(&mod[j])
+			if got := rows(mod); got[j-fitEnd].F != want {
+				t.Errorf("%s, %s: perturbing attack %d changed its own row:\n got %+v\nwant %+v", tc.name, p.name, j, got[j-fitEnd].F, want)
 			}
+		}
+	}
+}
+
+// TestLeakGuardPrefixFence: a prefix starts from the previous prefix's
+// networks only while everything that prefix's chain trained on sorts
+// strictly before the first record the walk labels. An out-of-order
+// arrival that shifts an already-trained record to window[fitEnd] makes
+// the prefix train cold; an in-order arrival keeps it warm. A warm
+// prefix's chain has seen the later of its own newest record and the
+// previous chain's.
+func TestLeakGuardPrefixFence(t *testing.T) {
+	const as = astopo.AS(64512)
+	cfg := testConfig()
+	topo := core.SpatialTopology{Duration: core.Topology{Delays: 3, Hidden: 3}, Hour: core.Topology{Delays: 3, Hidden: 3}, Day: core.Topology{Delays: 3, Hidden: 3}}
+	attacks := irregularAttacks(as, 0, 41)
+	prevWin := attacks[:40]
+	_, from := stSamples(as, prevWin, topo, prefixModel{}, cfg)
+	if from.sm == nil || !from.seen.Equal(prevWin[23].Start) {
+		t.Fatalf("previous prefix %+v, want one that saw through attack 23", from)
+	}
+	late := attacks[10]
+	late.ID, late.Start = 9999, attacks[10].Start.Add(time.Minute)
+	outOfOrder := append(append(append([]trace.Attack(nil), prevWin[:11]...), late), prevWin[11:]...)
+	newer := from // a chain that trained on a record the window no longer holds
+	newer.seen = attacks[24].Start.Add(-time.Second)
+	for _, tc := range []struct {
+		name     string
+		window   []trace.Attack
+		from     prefixModel
+		warm     bool
+		wantSeen time.Time
+	}{
+		{"in order", attacks, from, true, attacks[23].Start},
+		{"out of order", outOfOrder, from, false, outOfOrder[23].Start},
+		{"chain newer than the prefix", attacks, newer, true, newer.seen},
+	} {
+		fitEnd := int(stFitFrac * float64(len(tc.window)))
+		if reached := !tc.from.seen.Before(tc.window[fitEnd].Start); reached == tc.warm {
+			t.Fatalf("%s: chain reaching window[fitEnd] is %v; the case is mis-built", tc.name, reached)
+		}
+		_, got := stSamples(as, tc.window, topo, tc.from, cfg)
+		_, cold := stSamples(as, tc.window, topo, prefixModel{}, cfg)
+		if isCold := bytes.Equal(mustJSON(t, got.sm), mustJSON(t, cold.sm)); isCold == tc.warm {
+			t.Errorf("%s: prefix trained cold = %v, want %v", tc.name, isCold, !tc.warm)
+		}
+		if !got.seen.Equal(tc.wantSeen) {
+			t.Errorf("%s: chain saw through %v, want %v", tc.name, got.seen, tc.wantSeen)
 		}
 	}
 }
@@ -77,7 +152,7 @@ func TestForecastRowParity(t *testing.T) {
 	cfg.MinSTWindow = 24
 	attacks := irregularAttacks(as, 0, 41)
 	window, next := attacks[:40], &attacks[40]
-	tm, err := fitTarget(nil, as, window, uint64(len(window)), 1, cfg)
+	tm, err := fitTarget(nil, "", as, window, uint64(len(window)), 1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
