@@ -324,8 +324,8 @@ func TestSpatialTopologyCarriedMatchesGrid(t *testing.T) {
 
 // TestSpatialWarmStart: a series retrains its start network only when
 // the network has the series' topology, for at most the config's epochs.
-// A zero topology still grid-searches, and a skipped, missing or
-// mismatched start trains cold, as a zero start does. The start networks
+// A zero topology still grid-searches, and a missing or mismatched start
+// trains cold, as a zero start does. The start networks
 // are never mutated.
 func TestSpatialWarmStart(t *testing.T) {
 	attacks := mkTestAttacks(80, "F", 13)
@@ -344,29 +344,31 @@ func TestSpatialWarmStart(t *testing.T) {
 		}
 		return m
 	}
-	cold, warm := fit(topo, SpatialStart{}), fit(topo, prev.Start(10, ""))
+	cold, warm := fit(topo, SpatialStart{}), fit(topo, prev.Start(10))
 	if warm.Topology() != topo {
 		t.Fatalf("warm topology %+v, want %+v", warm.Topology(), topo)
 	}
 	if warm.PredictDuration() == cold.PredictDuration() || warm.PredictHour() == cold.PredictHour() || warm.PredictDay() == cold.PredictDay() {
 		t.Fatal("a warm series predicts what its cold fit does")
 	}
-	capped, _ := json.Marshal(fit(topo, prev.Start(30, "")))
+	capped, _ := json.Marshal(fit(topo, prev.Start(30)))
 	for _, epochs := range []int{0, 1000} {
-		if got, _ := json.Marshal(fit(topo, prev.Start(epochs, ""))); !bytes.Equal(got, capped) {
+		if got, _ := json.Marshal(fit(topo, prev.Start(epochs))); !bytes.Equal(got, capped) {
 			t.Fatalf("a start of %d epochs should train the config's 30", epochs)
 		}
 	}
-	if m := fit(topo, prev.Start(10, "day")); m.PredictDay() != cold.PredictDay() || m.PredictHour() != warm.PredictHour() {
-		t.Fatal("skipping day should train only day cold")
+	noDay := prev.Start(10)
+	noDay.Day = nil
+	if m := fit(topo, noDay); m.PredictDay() != cold.PredictDay() || m.PredictHour() != warm.PredictHour() {
+		t.Fatal("a start without a day network should train only day cold")
 	}
 	other := topo
 	other.Hour = Topology{Delays: 4, Hidden: 2}
-	if m := fit(other, prev.Start(10, "")); m.PredictHour() != fit(other, SpatialStart{}).PredictHour() || m.PredictDuration() != warm.PredictDuration() {
+	if m := fit(other, prev.Start(10)); m.PredictHour() != fit(other, SpatialStart{}).PredictHour() || m.PredictDuration() != warm.PredictDuration() {
 		t.Fatal("a start of another topology should train only that series cold")
 	}
 	gridJSON, _ := json.Marshal(fit(SpatialTopology{}, SpatialStart{}))
-	if got, _ := json.Marshal(fit(SpatialTopology{}, prev.Start(10, ""))); !bytes.Equal(got, gridJSON) {
+	if got, _ := json.Marshal(fit(SpatialTopology{}, prev.Start(10))); !bytes.Equal(got, gridJSON) {
 		t.Fatal("a zero topology should grid-search whatever the start")
 	}
 	if after, _ := json.Marshal(prev); !bytes.Equal(after, prevJSON) {

@@ -170,19 +170,9 @@ func FitSpatial(as astopo.AS, attacks []trace.Attack, cfg SpatialConfig, topo Sp
 }
 
 // Start returns the model's networks as a warm start that trains epochs.
-// The series named skip (duration, hour or day, as SeriesError names
-// them) and any series that fell back to its mean have no network there.
-func (s *Spatial) Start(epochs int, skip string) SpatialStart {
-	start := SpatialStart{Duration: s.duration.net(), Hour: s.hour.net(), Day: s.day.net(), Epochs: epochs}
-	switch skip {
-	case "duration":
-		start.Duration = nil
-	case "hour":
-		start.Hour = nil
-	case "day":
-		start.Day = nil
-	}
-	return start
+// A series that fell back to its mean has no network there.
+func (s *Spatial) Start(epochs int) SpatialStart {
+	return SpatialStart{Duration: s.duration.net(), Hour: s.hour.net(), Day: s.day.net(), Epochs: epochs}
 }
 
 // Topology returns each series' fitted network shape; a series that fell

@@ -22,13 +22,12 @@ import (
 // fitTarget builds a target's models from its window. prev is the target's
 // published generation (nil before its first fit). A carried full refit
 // (searchDue false) trains prev's NAR topology and starts every network
-// from prev's: the window networks from prev.Spatial, except the series
-// drifted names (the spatial series whose drift diagnostic aborted this
-// refit's fold-in, "" for none), and stSamples' prefix networks from
-// prev.prefix. The caller provides the fit generation and the all-time
-// ingest total for provenance. Windows shorter than cfg.MinWindow return
-// an error (the target is not ready).
-func fitTarget(prev *TargetModels, drifted string, as astopo.AS, window []trace.Attack, total uint64, gen uint64, cfg Config) (*TargetModels, error) {
+// from prev's, whatever made the refit full: the window networks from
+// prev.Spatial and stSamples' prefix networks from prev.prefix. The
+// caller provides the fit generation and the all-time ingest total for
+// provenance. Windows shorter than cfg.MinWindow return an error (the
+// target is not ready).
+func fitTarget(prev *TargetModels, as astopo.AS, window []trace.Attack, total uint64, gen uint64, cfg Config) (*TargetModels, error) {
 	if len(window) < cfg.MinWindow {
 		return nil, fmt.Errorf("serve: AS%d window %d below minimum %d", as, len(window), cfg.MinWindow)
 	}
@@ -42,12 +41,12 @@ func fitTarget(prev *TargetModels, drifted string, as astopo.AS, window []trace.
 	var start core.SpatialStart
 	var prefixFrom prefixModel
 	prov := Provenance{Refit: refitFull, FilteredRecords: filtered, SearchWindow: len(fitWin)}
-	if !searchDue(prev, len(fitWin)) {
+	searched := searchDue(prev, len(fitWin))
+	if !searched {
 		topo = prev.Spatial.Topology()
-		start = prev.Spatial.Start(warmEpochs, drifted)
+		start = prev.Spatial.Start(warmEpochs)
 		prefixFrom = prev.prefix
 		prov.SearchWindow = prev.Prov.SearchWindow
-		prov.FullRefitsSinceSearch = prev.Prov.FullRefitsSinceSearch + 1
 	}
 
 	// Spatiotemporal stage first: it fits throwaway prefix models, and a
@@ -82,22 +81,17 @@ func fitTarget(prev *TargetModels, drifted string, as astopo.AS, window []trace.
 		LastStart:  window[len(window)-1].Start,
 		Prov:       prov,
 		prefix:     prefix,
+		searched:   searched,
 	}, nil
 }
 
-// searchEvery makes every searchEvery-th full refit of a target re-run the
-// NAR topology search; the full refits in between carry the topology.
-const searchEvery = 8
-
 // searchDue reports whether a full refit over a fit window of n records
 // runs the NAR delays×hidden grid instead of carrying prev's topology: on
-// the target's first fit, once its fit window has at least doubled since
-// the last search, and on every searchEvery-th full refit. A generation
-// without a recorded search window (a snapshot from before the policy)
-// is due.
+// the target's first fit and once its fit window has at least doubled
+// since the last search. A generation without a recorded search window
+// (a snapshot from before the policy) is due.
 func searchDue(prev *TargetModels, n int) bool {
-	return prev == nil || n >= 2*prev.Prov.SearchWindow ||
-		prev.Prov.FullRefitsSinceSearch >= searchEvery-1
+	return prev == nil || n >= 2*prev.Prov.SearchWindow
 }
 
 // filterVerdicts drops detector-alerted records from a fit window when the
@@ -277,9 +271,7 @@ func fitTargetIncremental(prev *TargetModels, as astopo.AS, window []trace.Attac
 			FoldedRecords:   len(tail),
 			FilteredRecords: tailFiltered,
 			IncrSinceFull:   prev.Prov.IncrSinceFull + 1,
-
-			SearchWindow:          prev.Prov.SearchWindow,
-			FullRefitsSinceSearch: prev.Prov.FullRefitsSinceSearch,
+			SearchWindow:    prev.Prov.SearchWindow,
 		},
 	}, nil
 }
@@ -362,7 +354,7 @@ func stSamples(as astopo.AS, window []trace.Attack, topo core.SpatialTopology, f
 	var start core.SpatialStart
 	seen := prefix[fitEnd-1].Start // FitTemporal needs 3 attacks; the window is sorted by Start
 	if from.sm != nil && from.seen.Before(window[fitEnd].Start) {
-		start = from.sm.Start(warmEpochs, "")
+		start = from.sm.Start(warmEpochs)
 		if from.seen.After(seen) {
 			seen = from.seen
 		}

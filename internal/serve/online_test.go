@@ -90,7 +90,7 @@ func TestEvictionDropsRegistryTarget(t *testing.T) {
 func TestReadSnapshotVersionMonotone(t *testing.T) {
 	cfg := testConfig().withDefaults()
 	window := mkAttacks(64512, 0, 12)
-	tm, err := fitTarget(nil, "", 64512, window, 12, 1, cfg)
+	tm, err := fitTarget(nil, 64512, window, 12, 1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,11 +132,11 @@ func TestReadSnapshotVersionMonotone(t *testing.T) {
 func TestReadSnapshotIgnoresStaleFile(t *testing.T) {
 	cfg := testConfig().withDefaults()
 	const oldAS, newAS = astopo.AS(64512), astopo.AS(64600)
-	tmOld, err := fitTarget(nil, "", oldAS, mkAttacks(oldAS, 0, 12), 12, 1, cfg)
+	tmOld, err := fitTarget(nil, oldAS, mkAttacks(oldAS, 0, 12), 12, 1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tmNew, err := fitTarget(nil, "", newAS, mkAttacks(newAS, 1000, 12), 12, 2, cfg)
+	tmNew, err := fitTarget(nil, newAS, mkAttacks(newAS, 1000, 12), 12, 2, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,12 +194,12 @@ func TestVerdictFilterImprovesBurstAccuracy(t *testing.T) {
 	window := append(append([]trace.Attack{}, attacks...), burst...)
 
 	cfg := testConfig().withDefaults()
-	plain, err := fitTarget(nil, "", as, window, uint64(len(window)), 1, cfg)
+	plain, err := fitTarget(nil, as, window, uint64(len(window)), 1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.RefitVerdictFilter = true
-	filtered, err := fitTarget(nil, "", as, window, uint64(len(window)), 2, cfg)
+	filtered, err := fitTarget(nil, as, window, uint64(len(window)), 2, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestIncrementalDeclinesOutOfOrderTail(t *testing.T) {
 	cfg.DriftRatio = 0 // eligibility under test, not the drift diagnostic
 	base := mkAttacks(as, 0, 40)
 
-	prev, err := fitTarget(nil, "", as, base[:36], 36, 1, cfg)
+	prev, err := fitTarget(nil, as, base[:36], 36, 1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestIncrementalFamilyCheckUsesFilteredWindow(t *testing.T) {
 		burst[i].Start = clean[28].Start.Add(time.Duration(i+1) * time.Second)
 	}
 	prevWin := append(append([]trace.Attack{}, clean[:29]...), burst...)
-	prev, err := fitTarget(nil, "", as, prevWin, uint64(len(prevWin)), 1, cfg)
+	prev, err := fitTarget(nil, as, prevWin, uint64(len(prevWin)), 1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -528,7 +528,7 @@ func TestSnapshotRoundTripEnsembleProvenance(t *testing.T) {
 	cfg := testConfig().withDefaults()
 	cfg.MinSTWindow = 24 // let the tree engage, so ST serves the tree's values
 	window := mkAttacks(64512, 0, 64)
-	tm, err := fitTarget(nil, "", 64512, window, 64, 3, cfg)
+	tm, err := fitTarget(nil, 64512, window, 64, 3, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -613,7 +613,7 @@ func BenchmarkRefitFull(b *testing.B) {
 	window := benchWindow(160)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := fitTarget(nil, "", 64512, window, uint64(len(window)), uint64(i+1), cfg); err != nil {
+		if _, err := fitTarget(nil, 64512, window, uint64(len(window)), uint64(i+1), cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -629,14 +629,14 @@ func BenchmarkRefitFull(b *testing.B) {
 func BenchmarkCarriedFullRefit(b *testing.B) {
 	cfg := Config{Seed: 1, Spatial: core.SpatialConfig{Train: nn.TrainConfig{Epochs: 120}}}.withDefaults()
 	window := benchWindow(cfg.Window)
-	first, err := fitTarget(nil, "", 64512, window, uint64(len(window)), 1, cfg)
+	first, err := fitTarget(nil, 64512, window, uint64(len(window)), 1, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := fitTarget(first, "", 64512, window, uint64(len(window)), uint64(i+2), cfg); err != nil {
+		if _, err := fitTarget(first, 64512, window, uint64(len(window)), uint64(i+2), cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -650,7 +650,7 @@ func BenchmarkRefitIncremental(b *testing.B) {
 	// diagnostic's cost in the measurement without aborting the fold-in.
 	cfg.DriftRatio = 1e9
 	window := benchWindow(160)
-	prev, err := fitTarget(nil, "", 64512, window[:152], 152, 1, cfg)
+	prev, err := fitTarget(nil, 64512, window[:152], 152, 1, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -75,12 +75,10 @@ type Provenance struct {
 	// full re-estimation (bounded by Config.FullRefitEvery).
 	IncrSinceFull int `json:"incr_since_full,omitempty"`
 	// SearchWindow is the fit-window length of the last full refit that
-	// grid-searched the NAR topology. Zero, as in a snapshot from before
-	// the field, makes the next full refit search.
+	// grid-searched the NAR topology; the next search is due once the fit
+	// window has doubled it (searchDue). Zero, as in a snapshot from
+	// before the field, makes the next full refit search.
 	SearchWindow int `json:"search_window,omitempty"`
-	// FullRefitsSinceSearch counts the full refits since that search that
-	// carried its topology instead (see searchDue).
-	FullRefitsSinceSearch int `json:"full_refits_since_search,omitempty"`
 	// Champions is the served composition per measure.
 	Champions Champions `json:"champions"`
 	// History is the capped promotion lineage, oldest first.

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -93,13 +92,7 @@ func (s *scheduler) fitOnline(as astopo.AS, window []trace.Attack, total uint64,
 		}
 	}
 	if tm == nil {
-		// A carried full refit starts from prev's networks, except the one
-		// whose drift diagnostic just failed on the tail.
-		var drifted string
-		if series, ok := strings.CutPrefix(reason, "drift_spatial_"); ok {
-			drifted = series
-		}
-		if tm, err = fitTarget(prev, drifted, as, window, total, gen, cfg); err != nil {
+		if tm, err = fitTarget(prev, as, window, total, gen, cfg); err != nil {
 			return nil, err
 		}
 		s.tel.refitFull.With(reason).Inc()
@@ -319,7 +312,7 @@ func (s *scheduler) refitBatch(batch []astopo.AS) {
 		switch {
 		case tm.Prov.Refit == refitIncremental:
 			s.tel.refitIncremental.Inc()
-		case tm.Prov.FullRefitsSinceSearch == 0:
+		case tm.searched:
 			s.tel.refitSearches.Inc()
 		}
 		for _, p := range tm.Prov.History {

@@ -412,11 +412,11 @@ func TestIncrementalDeclineReasons(t *testing.T) {
 	cfg := testConfig().withDefaults()
 	cfg.DriftRatio = 0 // eligibility first; the drift case sets its own
 	base := mkAttacks(as, 0, 40)
-	prev, err := fitTarget(nil, "", as, base[:36], 36, 1, cfg)
+	prev, err := fitTarget(nil, as, base[:36], 36, 1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	capped, err := fitTarget(nil, "", as, base[:36], 36, 1, cfg)
+	capped, err := fitTarget(nil, as, base[:36], 36, 1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

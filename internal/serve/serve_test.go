@@ -176,7 +176,7 @@ func TestRegistryUnknownTarget(t *testing.T) {
 func TestRegistrySnapshotSwapConsistency(t *testing.T) {
 	cfg := testConfig().withDefaults()
 	r := NewRegistry()
-	tm1, err := fitTarget(nil, "", 64512, mkAttacks(64512, 0, 12), 12, r.NextGeneration(), cfg)
+	tm1, err := fitTarget(nil, 64512, mkAttacks(64512, 0, 12), 12, r.NextGeneration(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestRegistrySnapshotSwapConsistency(t *testing.T) {
 	// Publish a second generation; the old forecast value must be
 	// reproducible from the snapshot it came from, and the new one must
 	// carry the bumped version and generation.
-	tm2, err := fitTarget(nil, "", 64512, mkAttacks(64512, 100, 16), 28, r.NextGeneration(), cfg)
+	tm2, err := fitTarget(nil, 64512, mkAttacks(64512, 100, 16), 28, r.NextGeneration(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	var batch []*TargetModels
 	for i, as := range []astopo.AS{64512, 64513, 64514} {
-		tm, err := fitTarget(nil, "", as, mkAttacks(as, i*100, 12), 12, r.NextGeneration(), cfg)
+		tm, err := fitTarget(nil, as, mkAttacks(as, i*100, 12), 12, r.NextGeneration(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

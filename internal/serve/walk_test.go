@@ -152,7 +152,7 @@ func TestForecastRowParity(t *testing.T) {
 	cfg.MinSTWindow = 24
 	attacks := irregularAttacks(as, 0, 41)
 	window, next := attacks[:40], &attacks[40]
-	tm, err := fitTarget(nil, "", as, window, uint64(len(window)), 1, cfg)
+	tm, err := fitTarget(nil, as, window, uint64(len(window)), 1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
