@@ -406,6 +406,24 @@ func BenchmarkServeForecast(b *testing.B) {
 	}
 }
 
+// BenchmarkRegistryPublish measures the refit scheduler's per-fit swap:
+// publishing one target's new generation copies the snapshot map, so its
+// cost grows with the number of published targets.
+func BenchmarkRegistryPublish(b *testing.B) {
+	for _, n := range []int{64, 4096} {
+		b.Run(fmt.Sprintf("targets=%d", n), func(b *testing.B) {
+			reg := serveBenchRegistry(b, n)
+			tm, _ := reg.Lookup(64512)
+			one := []*serve.TargetModels{tm}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				reg.Publish(one)
+			}
+		})
+	}
+}
+
 // BenchmarkServeIngest measures one-record IngestBatch calls: the sharded
 // store's ingest path (window insert + dedup scan), with refits disabled
 // via a high MinWindow.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -18,11 +19,13 @@ import (
 // Registry serves forecasts lock-free from an immutable snapshot. The
 // snapshot — a map from target AS to that target's fitted models — is
 // published by atomic pointer swap: readers load the pointer once and see
-// a consistent world for the whole request, while refits build new
-// TargetModels off to the side and swap them in as a batch. Models inside
-// a published snapshot are never mutated (prediction methods on
-// core.Temporal/Spatial/Spatiotemporal are read-only), so no
-// reader-side locking exists anywhere on the forecast path.
+// a consistent world for the whole request, while each refit builds its
+// target's new TargetModels off to the side and swaps it in as soon as its
+// fit ends (the swap copies the map, so its cost grows with the target
+// count; BenchmarkRegistryPublish). Models inside a published snapshot are
+// never mutated (prediction methods on core.Temporal/Spatial/Spatiotemporal
+// are read-only), so no reader-side locking exists anywhere on the
+// forecast path.
 type Registry struct {
 	snap atomic.Pointer[snapshot]
 	mu   sync.Mutex // serializes publishers (copy-on-write swap)
@@ -298,9 +301,11 @@ func (r *Registry) Drop(as astopo.AS) {
 
 // Publish swaps a new snapshot in that carries every existing target plus
 // the given batch (copy-on-write). Readers keep the old snapshot until the
-// single atomic store below; nothing is ever published half-updated.
+// single atomic store below; nothing is ever published half-updated. A
+// batch with no model (nil entries are skipped) swaps nothing, so the
+// version counts only swaps that changed the snapshot.
 func (r *Registry) Publish(batch []*TargetModels) {
-	if len(batch) == 0 {
+	if !slices.ContainsFunc(batch, func(tm *TargetModels) bool { return tm != nil }) {
 		return
 	}
 	r.mu.Lock()

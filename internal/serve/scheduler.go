@@ -15,12 +15,15 @@ import (
 // scheduler is the background refit engine. Ingest marks a target after
 // RefitEvery new records, and a sweep marks every target whose oldest
 // unread record has waited staleAfter; the scheduler coalesces marks per
-// target, queues them on a bounded channel, drains the queue in batches,
-// refits every target of a batch concurrently on the parallel worker
-// pool, and publishes the whole batch with one snapshot swap. The queue
-// depth bounds memory; the lag counter (queued + in-flight refits) drives
-// admission: past the watermark the HTTP layer sheds ingest load with 429
-// instead of letting the refit backlog grow without bound.
+// target, queues them on a bounded channel, drains the queue in rounds of
+// up to BatchSize targets, refits every target of a round concurrently on
+// the parallel worker pool, and publishes each target's generation with
+// its own snapshot swap the moment its fit ends. A round ends when its
+// last fit does, so the round, not the publish, bounds how much CPU the
+// fits take from ingest. The queue depth bounds memory; the lag counter
+// (queued + in-flight refits) drives admission: past the watermark the
+// HTTP layer sheds ingest load with 429 instead of letting the refit
+// backlog grow without bound.
 type scheduler struct {
 	store  *Store
 	reg    *Registry
@@ -200,7 +203,7 @@ func (s *scheduler) Overloaded() bool {
 // Lag returns the current refit backlog (queued + in-flight).
 func (s *scheduler) Lag() int64 { return s.lag.Load() }
 
-// Stop terminates the run loop after the in-flight batch completes.
+// Stop terminates the run loop after the in-flight round completes.
 func (s *scheduler) Stop() {
 	s.stopOnce.Do(func() { close(s.stop) })
 	<-s.done
@@ -239,7 +242,7 @@ func (s *scheduler) run() {
 }
 
 // collectBatch drains up to BatchSize-1 more queued targets without
-// blocking, so bursty ingest amortizes into one snapshot swap.
+// blocking, so bursty ingest fans out across the workers in one round.
 func (s *scheduler) collectBatch(first astopo.AS) []astopo.AS {
 	batch := []astopo.AS{first}
 	for len(batch) < s.cfg.BatchSize {
@@ -253,82 +256,83 @@ func (s *scheduler) collectBatch(first astopo.AS) []astopo.AS {
 	return batch
 }
 
-// refitBatch fits every target of the batch on the worker pool and
-// publishes the survivors with a single atomic snapshot swap. Each
-// target's pending mark stays set until its worker reads its window
-// (read), so a target still waiting in the batch absorbs new marks. A fit
-// that fails publishes nothing, and its read still counts: the target
-// queues again after RefitEvery more records or on its next record's
-// deadline. The whole batch is one "refit" trace: a "fit" child per
-// target (workers open children concurrently) and a "publish" child for
-// the snapshot swap.
+// refitBatch fits every target of the round on the worker pool. Each
+// worker publishes its target's generation as soon as its fit returns, so
+// a finished model never waits for the round's slower fits; the round
+// stays the unit of scheduling (the next one starts when every fit of
+// this one ends) and releases its lag when it ends. Each target's pending
+// mark stays set until its worker reads its window (read), so a target
+// still waiting in the round absorbs new marks. A fit that fails
+// publishes nothing, and its read still counts: the target queues again
+// after RefitEvery more records or on its next record's deadline. The
+// whole round is one "refit" trace: a "fit" child per target and a
+// "publish" child per published fit (workers open children concurrently).
 func (s *scheduler) refitBatch(batch []astopo.AS) {
 	root := s.tracer.Start(StageRefit)
 	root.SetAttr("targets", strconv.Itoa(len(batch)))
 
-	// Generations are drawn in batch order before the fan-out, so the
-	// labels a batch gets do not depend on worker scheduling.
+	// Generations are drawn in round order before the fan-out, so the
+	// labels a round gets do not depend on worker scheduling.
 	gens := make([]uint64, len(batch))
 	for i := range gens {
 		gens[i] = s.reg.NextGeneration()
 	}
-	fitted := make([]*TargetModels, len(batch))
-	stamps := make([]time.Duration, len(batch))
+	var published atomic.Int64
 	_ = parallel.ForEach(len(batch), s.cfg.RefitWorkers, func(i int) error {
-		span := root.Child(StageFit)
-		span.SetAttr("as", strconv.FormatUint(uint64(batch[i]), 10))
-		start := time.Now()
-		window, total, stamp := s.read(batch[i])
-		tm, err := s.fit(batch[i], window, total, gens[i], s.cfg)
-		if err != nil {
-			s.tel.refitErrors.Inc()
-			span.SetAttr("outcome", "skipped: "+err.Error())
-			span.End()
-			return nil // not-ready targets are routine, not batch failures
+		if s.refitOne(root, batch[i], gens[i]) {
+			published.Add(1)
 		}
-		fitted[i] = tm
-		stamps[i] = stamp
-		s.tel.refitSeconds.Observe(time.Since(start).Seconds())
-		span.SetAttr("outcome", "published")
-		span.SetAttr("generation", strconv.FormatUint(tm.Generation, 10))
-		span.End()
-		return nil
+		return nil // not-ready targets are routine, not round failures
 	})
-	pub := root.Child(StagePublish)
-	s.reg.Publish(fitted)
-	pub.End()
-	now := monoNow()
-	published := 0
-	for i, as := range batch {
-		tm := fitted[i]
-		if tm == nil {
-			continue
-		}
-		if stamps[i] != 0 {
-			s.tel.staleness.Observe((now - stamps[i]).Seconds())
-		}
-		s.tel.refitsDone.Inc()
-		published++
-		switch {
-		case tm.Prov.Refit == refitIncremental:
-			s.tel.refitIncremental.Inc()
-		case tm.searched:
-			s.tel.refitSearches.Inc()
-		}
-		for _, p := range tm.Prov.History {
-			if p.Generation == tm.Generation {
-				s.tel.promotions.With(p.To).Inc()
-			}
-		}
-		// A bounded store may have evicted this target while its refit was
-		// in flight; publishing it anyway would resurrect a ghost, so drop
-		// it again (the eviction hook already dropped the old generation).
-		if s.cfg.MaxTargets > 0 && !s.store.Known(as) {
-			s.reg.Drop(as)
-			s.promo.Drop(as)
-		}
-	}
-	root.SetAttr("published", strconv.Itoa(published))
+	root.SetAttr("published", strconv.FormatInt(published.Load(), 10))
 	root.End()
 	s.lag.Add(-int64(len(batch)))
+}
+
+// refitOne reads, fits and publishes one target of a round under the
+// round's trace, and records its telemetry. It reports whether a
+// generation was published.
+func (s *scheduler) refitOne(root *obs.Span, as astopo.AS, gen uint64) bool {
+	span := root.Child(StageFit)
+	span.SetAttr("as", strconv.FormatUint(uint64(as), 10))
+	start := time.Now()
+	window, total, stamp := s.read(as)
+	tm, err := s.fit(as, window, total, gen, s.cfg)
+	if err != nil {
+		s.tel.refitErrors.Inc()
+		span.SetAttr("outcome", "skipped: "+err.Error())
+		span.End()
+		return false
+	}
+	s.tel.refitSeconds.Observe(time.Since(start).Seconds())
+	span.SetAttr("outcome", "published")
+	span.SetAttr("generation", strconv.FormatUint(tm.Generation, 10))
+	span.End()
+
+	pub := root.Child(StagePublish)
+	s.reg.Publish([]*TargetModels{tm})
+	pub.End()
+	if stamp != 0 {
+		s.tel.staleness.Observe((monoNow() - stamp).Seconds())
+	}
+	s.tel.refitsDone.Inc()
+	switch {
+	case tm.Prov.Refit == refitIncremental:
+		s.tel.refitIncremental.Inc()
+	case tm.searched:
+		s.tel.refitSearches.Inc()
+	}
+	for _, p := range tm.Prov.History {
+		if p.Generation == tm.Generation {
+			s.tel.promotions.With(p.To).Inc()
+		}
+	}
+	// A bounded store may have evicted this target while its refit was in
+	// flight; publishing it anyway would resurrect a ghost, so drop it
+	// again (the eviction hook already dropped the old generation).
+	if s.cfg.MaxTargets > 0 && !s.store.Known(as) {
+		s.reg.Drop(as)
+		s.promo.Drop(as)
+	}
+	return true
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -287,6 +288,112 @@ func TestStaleReadIsTheMark(t *testing.T) {
 	}
 	if got := publishedTotal(svc, second); got != uint64(ns[second]) {
 		t.Fatalf("second's published total %d, want %d", got, ns[second])
+	}
+}
+
+// TestStalePublishEachFitWhenItEnds: a round publishes each target's
+// generation as soon as its fit ends. With one worker the round [A, B]
+// fits A, then B; while B's fit is held, A's new generation is already
+// served and counted, and B's publish then swaps the snapshot once more,
+// with the next generation label.
+func TestStalePublishEachFitWhenItEnds(t *testing.T) {
+	const blocker, a, b = astopo.AS(64512), astopo.AS(64513), astopo.AS(64514)
+	cfg := testConfig()
+	cfg.RefitWorkers = 1 // a round fits its targets one after another
+	var hold atomic.Bool
+	entered := make(chan astopo.AS, 4)
+	release := make(chan struct{})
+	holdFits(&cfg, &hold, entered, release)
+	svc := New(cfg)
+	defer svc.Close()
+	defer func() { hold.Store(false); close(release) }()
+	stopSweep(svc)
+	attacks := map[astopo.AS][]trace.Attack{
+		blocker: mkAttacks(blocker, 0, 32),
+		a:       mkAttacks(a, 1000, 32),
+		b:       mkAttacks(b, 2000, 32),
+	}
+	ns := map[astopo.AS]int{}
+	ingest := func(as astopo.AS, k int) {
+		n := ns[as]
+		ingestN(t, svc, attacks[as], &n, k)
+		ns[as] = n
+	}
+	for _, as := range []astopo.AS{blocker, a, b} {
+		ingest(as, cfg.MinWindow)
+		svc.Flush()
+	}
+
+	// While the blocker's refit is held, mark A and B: the next round is
+	// [A, B].
+	hold.Store(true)
+	ingest(blocker, cfg.RefitEvery)
+	if as := <-entered; as != blocker {
+		t.Fatalf("held refit of AS%d, want the blocker", as)
+	}
+	ingest(a, cfg.RefitEvery)
+	ingest(b, cfg.RefitEvery)
+	release <- struct{}{}
+	if as := <-entered; as != a {
+		t.Fatalf("held refit of AS%d, want AS%d", as, a)
+	}
+	version, done := svc.reg.Version(), svc.tel.refitsDone.Value()
+	release <- struct{}{}
+	if as := <-entered; as != b {
+		t.Fatalf("held refit of AS%d, want AS%d", as, b)
+	}
+
+	// B's fit is held: A's generation is served, and counted, already.
+	fc, err := svc.reg.Forecast(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fc.Observations != uint64(ns[a]) || fc.SnapshotVersion != version+1 {
+		t.Fatalf("while B's fit is held, A serves %d observations at version %d; want %d at %d",
+			fc.Observations, fc.SnapshotVersion, ns[a], version+1)
+	}
+	if got := svc.tel.refitsDone.Value() - done; got != 1 {
+		t.Fatalf("%d refits counted while B's fit is held, want A's 1", got)
+	}
+	if got := publishedTotal(svc, b); got != uint64(cfg.MinWindow) {
+		t.Fatalf("B's published total %d before its fit ended, want %d", got, cfg.MinWindow)
+	}
+	hold.Store(false)
+	release <- struct{}{}
+	svc.Flush()
+
+	if got := svc.reg.Version(); got != version+2 {
+		t.Fatalf("version %d after B published, want %d", got, version+2)
+	}
+	tmA, _ := svc.reg.Lookup(a)
+	tmB, _ := svc.reg.Lookup(b)
+	if tmB.Total != uint64(ns[b]) || tmB.Generation != tmA.Generation+1 {
+		t.Fatalf("B serves total %d generation %d, want %d and A's generation %d + 1",
+			tmB.Total, tmB.Generation, ns[b], tmA.Generation)
+	}
+}
+
+// TestFailedRoundSwapsNoSnapshot: a round whose every fit fails publishes
+// nothing, so the snapshot version does not move.
+func TestFailedRoundSwapsNoSnapshot(t *testing.T) {
+	const as = astopo.AS(64512)
+	cfg := testConfig()
+	cfg.WrapFit = func(FitFunc) FitFunc {
+		return func(astopo.AS, []trace.Attack, uint64, uint64, Config) (*TargetModels, error) {
+			return nil, errors.New("injected fit failure")
+		}
+	}
+	svc := New(cfg)
+	defer svc.Close()
+	attacks := mkAttacks(as, 0, cfg.MinWindow)
+	n := 0
+	ingestN(t, svc, attacks, &n, cfg.MinWindow)
+	svc.Flush()
+	if got := svc.tel.refitErrors.Value(); got == 0 {
+		t.Fatal("no fit ran")
+	}
+	if got := svc.reg.Version(); got != 0 {
+		t.Fatalf("snapshot version %d after only failed fits, want 0", got)
 	}
 }
 

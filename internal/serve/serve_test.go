@@ -210,6 +210,16 @@ func TestRegistrySnapshotSwapConsistency(t *testing.T) {
 	}
 }
 
+// TestRegistryPublishNilBatch: a batch with no model swaps nothing.
+func TestRegistryPublishNilBatch(t *testing.T) {
+	r := NewRegistry()
+	r.Publish([]*TargetModels{nil})
+	r.Publish(nil)
+	if r.Version() != 0 || r.Size() != 0 {
+		t.Fatalf("version %d, size %d after publishing no model, want 0 and 0", r.Version(), r.Size())
+	}
+}
+
 func TestSnapshotRoundTrip(t *testing.T) {
 	cfg := testConfig().withDefaults()
 	r := NewRegistry()

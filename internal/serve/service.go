@@ -52,9 +52,11 @@ type Config struct {
 	// LagWatermark is the refit backlog (queued + in-flight) beyond which
 	// ingest is shed with 429. Default QueueDepth/2.
 	LagWatermark int
-	// BatchSize caps how many targets one snapshot swap refits. Default 16.
+	// BatchSize caps how many queued targets one refit round takes; each
+	// target publishes on its own when its fit ends, and the next round
+	// starts when the round's last fit does. Default 16.
 	BatchSize int
-	// RefitWorkers bounds the per-batch fit fan-out (0 = parallel.Workers()).
+	// RefitWorkers bounds the per-round fit fan-out (0 = parallel.Workers()).
 	RefitWorkers int
 	// MaxBatchRecords caps records accepted per ingest request. Default 10000.
 	MaxBatchRecords int
