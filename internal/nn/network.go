@@ -156,9 +156,10 @@ func (n *Network) Train(xs [][]float64, ys []float64, cfg *TrainConfig) (float64
 	c := cfg.withDefaults()
 	k := n.newKernel()
 	state := newRpropState(len(k.weights))
+	repeats := repeatedRows(xs)
 	var mse float64
 	for epoch := 0; epoch < c.Epochs; epoch++ {
-		mse = k.gradients(xs, ys)
+		mse = k.gradients(xs, ys, repeats)
 		if mse < c.TolMSE {
 			break
 		}
@@ -219,13 +220,46 @@ func (n *Network) newKernel() kernel {
 	return k
 }
 
+// repeatedRows marks each row of xs whose float64 bits equal the previous
+// row's, or returns nil when no row does. Lag rows of an hour or day
+// series come in such runs.
+func repeatedRows(xs [][]float64) []bool {
+	var marks []bool
+	for s := 1; s < len(xs); s++ {
+		if sameBits(xs[s], xs[s-1]) {
+			if marks == nil {
+				marks = make([]bool, len(xs))
+			}
+			marks[s] = true
+		}
+	}
+	return marks
+}
+
+// sameBits reports whether a and b, of equal length, hold the same bits
+// value by value. Bits, not ==: +0 and -0 are equal values, and NaN equals
+// nothing.
+func sameBits(a, b []float64) bool {
+	for i, v := range a {
+		if math.Float64bits(v) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // gradients computes the full-batch MSE gradient at k.weights into k.grads
 // and returns the MSE. Each accumulated value starts where, and adds its
 // terms in the order, the per-epoch loop this kernel replaced did: samples
 // in order, inputs and hidden units ascending, then the 2/n scale. That
 // order defines every trained model, so it must not change
 // (TestTrainMatchesReference, DESIGN.md §6).
-func (k *kernel) gradients(xs [][]float64, ys []float64) float64 {
+//
+// A row that repeats[s] marks skips the forward pass: its inputs are the
+// previous row's bits and the weights do not change within a call, so
+// hiddenAct, deriv and y already hold what the pass would compute. Its
+// error and backward pass still run. A nil repeats computes every row.
+func (k *kernel) gradients(xs [][]float64, ys []float64, repeats []bool) float64 {
 	in, hidden := k.in, k.hidden
 	nW1 := hidden * in
 	w1, b1 := k.weights[:nW1], k.weights[nW1:nW1+hidden]
@@ -234,16 +268,18 @@ func (k *kernel) gradients(xs [][]float64, ys []float64) float64 {
 	clear(g)
 	gW1, gB1, gW2 := g[:nW1], g[nW1:nW1+hidden], g[nW1+hidden:nW1+2*hidden]
 	hiddenAct, deriv := k.hiddenAct, k.deriv
-	var sse, gB2 float64
+	var sse, gB2, y float64
 	for s, x := range xs {
 		// Forward.
-		for h := range hiddenAct {
-			hiddenAct[h] = dot(b1[h], w1[h*in:], x)
-		}
-		k.activate(hiddenAct, deriv)
-		y := b2
-		for h, t := range hiddenAct {
-			y += w2[h] * t
+		if repeats == nil || !repeats[s] {
+			for h := range hiddenAct {
+				hiddenAct[h] = dot(b1[h], w1[h*in:], x)
+			}
+			k.activate(hiddenAct, deriv)
+			y = b2
+			for h, t := range hiddenAct {
+				y += w2[h] * t
+			}
 		}
 		err := y - ys[s]
 		sse += err * err

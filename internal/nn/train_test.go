@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"repro/internal/timeseries"
@@ -140,7 +141,10 @@ func networkBits(n *Network) []uint64 {
 // TestTrainMatchesReference trains random networks with Train and with the
 // reference loop and requires the same bits in every weight and in the
 // returned MSE, and in the first epoch's gradient: the flat kernel changes
-// no model.
+// no model. After the random rows come windows whose rows repeat, which
+// the kernel trains without their forward pass: runs of one row whose
+// targets differ, the all-zero window of a constant series, rows that
+// differ only in the sign of a zero, and a run broken by one row.
 func TestTrainMatchesReference(t *testing.T) {
 	trials := 200
 	if testing.Short() {
@@ -148,32 +152,11 @@ func TestTrainMatchesReference(t *testing.T) {
 	}
 	acts := []Activation{0, ActTanSigmoid, ActLogSigmoid, ActElliott, ActLinear}
 	rng := rand.New(rand.NewPCG(20, 17))
-	for trial := 0; trial < trials; trial++ {
-		in, hidden := 1+rng.IntN(8), 1+rng.IntN(8)
-		rows := 3 + rng.IntN(298)
-		scale := math.Pow(10, -2+4*rng.Float64())
-		act := acts[rng.IntN(len(acts))]
-		cfg := TrainConfig{Epochs: 1 + rng.IntN(200)}
-		xs := make([][]float64, rows)
-		ys := make([]float64, rows)
-		for s := range xs {
-			x := make([]float64, in)
-			var sum float64
-			for i := range x {
-				x[i] = scale * rng.NormFloat64()
-				sum += x[i] / scale
-			}
-			xs[s] = x
-			ys[s] = math.Sin(sum) + 0.1*rng.NormFloat64()
-		}
-		init, err := NewNetwork(in, hidden, rng.Uint64())
-		if err != nil {
-			t.Fatal(err)
-		}
-		init.Act = act
-		// One trial in four stops early: its tolerance sits just above
-		// the MSE the reference reaches at a random epoch.
-		early := trial%4 == 3
+	// check trains init on (xs, ys) both ways. An early case stops before
+	// cfg.Epochs: its tolerance sits just above the MSE the reference
+	// reaches at a random epoch.
+	check := func(desc string, init *Network, xs [][]float64, ys []float64, cfg TrainConfig, early bool) {
+		t.Helper()
 		if early {
 			probe := init.Clone()
 			stopAt := TrainConfig{Epochs: 1 + rng.IntN(cfg.Epochs)}
@@ -183,22 +166,24 @@ func TestTrainMatchesReference(t *testing.T) {
 			}
 			cfg.TolMSE = math.Nextafter(mse, math.Inf(1))
 		}
-		name := fmt.Sprintf("trial %d (in=%d hidden=%d rows=%d scale=%.3g act=%v epochs=%d tol=%g)",
-			trial, in, hidden, rows, scale, act, cfg.Epochs, cfg.TolMSE)
+		name := fmt.Sprintf("%s epochs=%d tol=%g)", desc, cfg.Epochs, cfg.TolMSE)
 
-		// One gradient at the initial weights: RPROP reads only the
-		// gradient's signs, so the trained weights alone would not show a
-		// last-bit change in a gradient.
-		k := init.newKernel()
-		refGrads := make([]float64, len(k.grads))
-		firstMSE := k.gradients(xs, ys)
+		// One gradient at the initial weights, with Train's repeat marks
+		// and without: RPROP reads only the gradient's signs, so the
+		// trained weights alone would not show a last-bit change in a
+		// gradient.
+		refGrads := make([]float64, init.Hidden*init.In+2*init.Hidden+1)
 		refFirstMSE := init.Clone().referenceGradients(xs, ys, refGrads)
-		if math.Float64bits(firstMSE) != math.Float64bits(refFirstMSE) {
-			t.Fatalf("%s: first-epoch MSE %v, reference %v", name, firstMSE, refFirstMSE)
-		}
-		for i, g := range refGrads {
-			if math.Float64bits(k.grads[i]) != math.Float64bits(g) {
-				t.Fatalf("%s: gradient %d is %v, reference %v", name, i, k.grads[i], g)
+		for _, repeats := range [][]bool{nil, repeatedRows(xs)} {
+			k := init.newKernel()
+			firstMSE := k.gradients(xs, ys, repeats)
+			if math.Float64bits(firstMSE) != math.Float64bits(refFirstMSE) {
+				t.Fatalf("%s, marked=%t: first-epoch MSE %v, reference %v", name, repeats != nil, firstMSE, refFirstMSE)
+			}
+			for i, g := range refGrads {
+				if math.Float64bits(k.grads[i]) != math.Float64bits(g) {
+					t.Fatalf("%s, marked=%t: gradient %d is %v, reference %v", name, repeats != nil, i, k.grads[i], g)
+				}
 			}
 		}
 
@@ -222,49 +207,190 @@ func TestTrainMatchesReference(t *testing.T) {
 			}
 		}
 	}
+
+	for trial := 0; trial < trials; trial++ {
+		in, hidden := 1+rng.IntN(8), 1+rng.IntN(8)
+		rows := 3 + rng.IntN(298)
+		scale := math.Pow(10, -2+4*rng.Float64())
+		act := acts[rng.IntN(len(acts))]
+		cfg := TrainConfig{Epochs: 1 + rng.IntN(200)}
+		xs := make([][]float64, rows)
+		ys := make([]float64, rows)
+		for s := range xs {
+			x := make([]float64, in)
+			var sum float64
+			for i := range x {
+				x[i] = scale * rng.NormFloat64()
+				sum += x[i] / scale
+			}
+			xs[s] = x
+			ys[s] = math.Sin(sum) + 0.1*rng.NormFloat64()
+		}
+		init, err := NewNetwork(in, hidden, rng.Uint64())
+		if err != nil {
+			t.Fatal(err)
+		}
+		init.Act = act
+		check(fmt.Sprintf("trial %d (in=%d hidden=%d rows=%d scale=%.3g act=%v", trial, in, hidden, rows, scale, act),
+			init, xs, ys, cfg, trial%4 == 3)
+	}
+
+	shapes := []string{"runs", "constant", "signed zeros", "broken run"}
+	for trial := 0; trial < trials/2; trial++ {
+		shape := shapes[trial%len(shapes)]
+		in, hidden := 1+rng.IntN(8), 1+rng.IntN(8)
+		rows := 4 + rng.IntN(297)
+		act := acts[rng.IntN(len(acts))]
+		cfg := TrainConfig{Epochs: 1 + rng.IntN(200)}
+		xs, ys := repeatingWindow(rng, shape, in, rows)
+		if repeatedRows(xs) == nil {
+			t.Fatalf("repeat trial %d (%s): no row repeats the one before", trial, shape)
+		}
+		init, err := NewNetwork(in, hidden, rng.Uint64())
+		if err != nil {
+			t.Fatal(err)
+		}
+		init.Act = act
+		// Nonzero biases, as a network trained before has: a cold one
+		// answers 0 on the all-zero window and stops at epoch 1.
+		for h := range init.B1 {
+			init.B1[h] = rng.NormFloat64()
+		}
+		init.B2 = rng.NormFloat64()
+		check(fmt.Sprintf("repeat trial %d (%s in=%d hidden=%d rows=%d act=%v", trial, shape, in, hidden, rows, act),
+			init, xs, ys, cfg, trial/len(shapes)%4 == 3)
+	}
 }
 
-// narRows is the serving shape of one NAR training: a 256-record window
-// standardized and lagged by delays.
-func narRows(delays int) ([][]float64, []float64) {
-	rng := rand.New(rand.NewPCG(5, 6))
-	xs := make([]float64, 256)
-	for i := range xs {
-		xs[i] = math.Exp(7 + rng.NormFloat64())
+// repeatingWindow builds rows (at least 4) of in values that repeat in the
+// given shape, with a target per row. Each row is its own slice.
+func repeatingWindow(rng *rand.Rand, shape string, in, rows int) ([][]float64, []float64) {
+	xs := make([][]float64, rows)
+	ys := make([]float64, rows)
+	row := make([]float64, in)
+	for i := range row {
+		row[i] = rng.NormFloat64()
 	}
-	rows, ys, err := timeseries.LagMatrix(timeseries.FitScaler(xs).Transform(xs), delays)
+	switch shape {
+	case "runs":
+		// A new run redraws one value of the last, often not the first.
+		for s := range xs {
+			if s > 0 && rng.IntN(8) == 0 {
+				row[rng.IntN(in)] = rng.NormFloat64()
+			}
+			xs[s] = slices.Clone(row)
+			ys[s] = rng.NormFloat64()
+		}
+	case "constant":
+		// What trainNAR builds from a zero-variance series.
+		for s := range xs {
+			xs[s] = make([]float64, in)
+		}
+	case "signed zeros":
+		// An odd row repeats the last; an even one flips the sign of one
+		// of its zeros.
+		row[rng.IntN(in)] = 0
+		for i := range row {
+			if rng.IntN(2) == 0 {
+				row[i] = 0
+			}
+		}
+		for s := range xs {
+			if s > 0 && s%2 == 0 {
+				for i := rng.IntN(in); ; i = (i + 1) % in {
+					if row[i] == 0 {
+						row[i] = -row[i]
+						break
+					}
+				}
+			}
+			xs[s] = slices.Clone(row)
+			ys[s] = rng.NormFloat64()
+		}
+	case "broken run":
+		// One row inside the run differs in its last value only.
+		broken := 2 + rng.IntN(rows-3)
+		for s := range xs {
+			xs[s] = slices.Clone(row)
+			if s == broken {
+				xs[s][in-1] += 1
+			}
+			ys[s] = rng.NormFloat64()
+		}
+	default:
+		panic("unknown window shape " + shape)
+	}
+	return xs, ys
+}
+
+// narRows is the serving shape of one NAR training: a 256-record window of
+// series, standardized and lagged by delays.
+func narRows(series []float64, delays int) ([][]float64, []float64) {
+	rows, ys, err := timeseries.LagMatrix(timeseries.FitScaler(series).Transform(series), delays)
 	if err != nil {
 		panic(err)
 	}
 	return rows, ys
 }
 
+// narWindows are 256-record windows of a busy target's three NAR series:
+// lognormal durations, launch hours in runs of 40 records, and a single
+// day of month, whose lag rows are all zero. Most duration rows differ
+// from the row before; most hour rows and every day row repeat it.
+func narWindows() []struct {
+	name   string
+	series []float64
+} {
+	rng := rand.New(rand.NewPCG(5, 6))
+	duration, hour, day := make([]float64, 256), make([]float64, 256), make([]float64, 256)
+	for i := range duration {
+		duration[i] = math.Exp(7 + rng.NormFloat64())
+		hour[i] = float64((9 + i/40) % 24)
+		day[i] = 17
+	}
+	return []struct {
+		name   string
+		series []float64
+	}{{"duration", duration}, {"hour", hour}, {"day", day}}
+}
+
 // BenchmarkNARTrain times one NAR training at ddosd's serving shape (2
-// delays, a 256-record window, -nar-epochs 120) with Train and with the
-// reference loop it replaced.
+// delays, a 256-record window, -nar-epochs 120) on each of narWindows with
+// Train and with the reference loop it replaced. The day window starts
+// from a network trained on the duration window: a cold network, with zero
+// biases, answers 0 on its zero rows and stops at epoch 1.
 func BenchmarkNARTrain(b *testing.B) {
-	rows, ys := narRows(2)
 	cfg := TrainConfig{Epochs: 120}
-	for _, hidden := range []int{4, 8} {
-		init, err := NewNetwork(2, hidden, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, impl := range []struct {
-			name  string
-			train func(*Network) (float64, error)
-		}{
-			{"kernel", func(n *Network) (float64, error) { return n.Train(rows, ys, &cfg) }},
-			{"reference", func(n *Network) (float64, error) { return n.referenceTrain(rows, ys, &cfg) }},
-		} {
-			b.Run(fmt.Sprintf("hidden=%d/%s", hidden, impl.name), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := impl.train(init.Clone()); err != nil {
-						b.Fatal(err)
-					}
+	windows := narWindows()
+	for _, w := range windows {
+		rows, ys := narRows(w.series, 2)
+		for _, hidden := range []int{4, 8} {
+			init, err := NewNetwork(2, hidden, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if w.name == "day" {
+				durRows, durYs := narRows(windows[0].series, 2)
+				if _, err := init.Train(durRows, durYs, &cfg); err != nil {
+					b.Fatal(err)
 				}
-			})
+			}
+			for _, impl := range []struct {
+				name  string
+				train func(*Network) (float64, error)
+			}{
+				{"kernel", func(n *Network) (float64, error) { return n.Train(rows, ys, &cfg) }},
+				{"reference", func(n *Network) (float64, error) { return n.referenceTrain(rows, ys, &cfg) }},
+			} {
+				b.Run(fmt.Sprintf("%s/hidden=%d/%s", w.name, hidden, impl.name), func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						if _, err := impl.train(init.Clone()); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
 		}
 	}
 }
